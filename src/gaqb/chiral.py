@@ -50,7 +50,6 @@ class ChiralProtocol:
     tau: float
     theta: float = math.pi / 2
     direction: str = RIGHT_TO_BATTERY
-    N: int = 0
 
     def __post_init__(self):
         if not self.gamma_max > 0.0:
@@ -121,14 +120,10 @@ def chiral_coupling_params(t: float, p: ChiralProtocol) -> CouplingParams:
     )
 
 
-def chiral_spec(p: ChiralProtocol, omega0: float = 1.0) -> LiouvillianSpec:
+def chiral_spec(p: ChiralProtocol) -> LiouvillianSpec:
     """Time-dependent cascaded LiouvillianSpec for the protocol."""
     kind = CASCADED_RIGHT if p.direction == RIGHT_TO_BATTERY else CASCADED_LEFT
-    return LiouvillianSpec(
-        omega0=omega0,
-        params=lambda t: chiral_coupling_params(t, p),
-        dissipator_kind=kind,
-    )
+    return LiouvillianSpec(lambda t: chiral_coupling_params(t, p), dissipator_kind=kind)
 
 
 def reverse_direction(p: ChiralProtocol) -> ChiralProtocol:
@@ -147,12 +142,15 @@ class TransferSummary:
     efficiency: float
 
 
+def default_stride(t_end: float, dt: float) -> int:
+    """Snapshot stride giving about 600 snapshots over [0, t_end]."""
+    return max(1, round(t_end / dt / 600))
+
+
 def default_grid(p: ChiralProtocol, dt: float = 0.005, sample_stride: int = 0) -> TimeGrid:
-    """Window [0, 3 tau] with a stride giving ~600 snapshots."""
+    """Window [0, 3 tau]; a stride of 0 picks :func:`default_stride`."""
     t_end = 3.0 * p.tau
-    if sample_stride <= 0:
-        sample_stride = max(1, round(t_end / dt / 600))
-    return TimeGrid(0.0, t_end, dt=dt, sample_stride=sample_stride)
+    return TimeGrid(0.0, t_end, dt=dt, sample_stride=sample_stride or default_stride(t_end, dt))
 
 
 def run_transfer(
@@ -173,9 +171,7 @@ def run_transfer(
         rho0 = projector("eg" if p.direction == RIGHT_TO_BATTERY else "ge")
     if grid is None:
         grid = default_grid(p)
-    if grid.adaptive:
-        raise ValueError("run_transfer uses the fixed-step method")
-    spec = chiral_spec(p, omega0)
+    spec = chiral_spec(p)
 
     def leak_rate(t, rho):
         L = jump_operator(spec.params_at(t), spec.dissipator_kind)

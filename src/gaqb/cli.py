@@ -23,12 +23,12 @@ import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Optional, get_type_hints
 
 import numpy as np
 
-from .chiral import ChiralProtocol, default_grid, run_transfer
+from .chiral import ChiralProtocol, default_grid, default_stride, run_transfer
 from .geometry import BUILTIN_TOPOLOGIES, CouplingLayout, closed_form_params
 from .integrator import TimeGrid, evolve
 from .liouville import LiouvillianSpec, SimulationError, projector
@@ -66,26 +66,18 @@ class RunConfig:
     direction: str = "right"
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_INT_KEYS = {"sample_stride", "theta_steps", "workers"}
-_FLOAT_KEYS = {
-    "theta", "gamma", "omega0", "tmax", "dt",
-    "theta_min", "theta_max", "gamma_max", "tau_scaled",
-}
+_FIELD_TYPES = get_type_hints(RunConfig)
+_NUMBER_KINDS = {int: "an integer", float: "a number"}
 
 
 def _parse_value(key: str, raw: str, where: str):
-    if key in _INT_KEYS:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{where}: value for {key!r} must be an integer, got {raw!r}")
-    if key in _FLOAT_KEYS:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{where}: value for {key!r} must be a number, got {raw!r}")
-    return raw
+    kind = _FIELD_TYPES[key]
+    if kind not in _NUMBER_KINDS:
+        return raw
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigError(f"{where}: value for {key!r} must be {_NUMBER_KINDS[kind]}, got {raw!r}")
 
 
 def read_config_file(path: str) -> dict:
@@ -116,9 +108,8 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"format must be 'csv' or 'json', got {cfg.format!r}")
     if cfg.direction not in ("right", "left"):
         raise ConfigError(f"direction must be 'right' or 'left', got {cfg.direction!r}")
-    for name in ("theta", "gamma", "omega0", "tmax", "dt",
-                 "theta_min", "theta_max", "gamma_max", "tau_scaled"):
-        if not math.isfinite(getattr(cfg, name)):
+    for name, kind in _FIELD_TYPES.items():
+        if kind is float and not math.isfinite(getattr(cfg, name)):
             raise ConfigError(f"{name} must be finite")
     if cfg.gamma < 0:
         raise ConfigError("gamma must be >= 0")
@@ -132,9 +123,12 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError("workers must be >= 0")
     if cfg.gamma_max <= 0 or cfg.tau_scaled <= 0:
         raise ConfigError("gamma_max and tau_scaled must be positive")
-    unknown = [m for m in cfg.metrics.split(",") if m.strip() not in SWEEP_METRICS]
+    chosen = [m.strip() for m in cfg.metrics.split(",")]
+    unknown = [m for m in chosen if m not in SWEEP_METRICS]
     if unknown:
         raise ConfigError(f"unknown metrics {unknown}; choose from {SWEEP_METRICS}")
+    if len(set(chosen)) != len(chosen):
+        raise ConfigError(f"duplicate metrics in {cfg.metrics!r}")
     return cfg
 
 
@@ -190,8 +184,11 @@ def _emit(cfg: RunConfig, header, rows, summary: Optional[dict] = None):
     if cfg.out is None:
         sys.stdout.write(data)
     else:
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(data)
+        try:
+            with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(data)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {cfg.out}: {exc.strerror or exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +213,11 @@ def run_params(cfg: RunConfig):
 CHARGE_HEADER = ("t", "p_a", "p_b", "E", "ergotropy", "sigma", "power", "purity")
 
 
-def charge_trajectory(cfg: RunConfig, theta: Optional[float] = None,
-                      sample_stride: Optional[int] = None):
+def charge_trajectory(cfg: RunConfig):
     """One charging run from |e_a g_b>; returns the trajectory with records."""
-    topo = BUILTIN_TOPOLOGIES[cfg.topology]
-    layout = CouplingLayout(topo, cfg.theta if theta is None else theta, cfg.gamma)
-    spec = LiouvillianSpec(cfg.omega0, closed_form_params(layout))
-    grid = TimeGrid(0.0, cfg.tmax, dt=cfg.dt,
-                    sample_stride=cfg.sample_stride if sample_stride is None else sample_stride)
+    layout = CouplingLayout(BUILTIN_TOPOLOGIES[cfg.topology], cfg.theta, cfg.gamma)
+    spec = LiouvillianSpec(closed_form_params(layout))
+    grid = TimeGrid(0.0, cfg.tmax, dt=cfg.dt, sample_stride=cfg.sample_stride)
     traj = evolve(spec, projector("eg"), grid)
     compute_records(traj, cfg.omega0)
     return traj
@@ -239,10 +233,10 @@ def run_charge(cfg: RunConfig):
 def _sweep_cell(args):
     """One theta cell; module-level so worker processes can unpickle it."""
     theta, topology, gamma, omega0, tmax, dt, stride = args
-    cfg = RunConfig(topology=topology, gamma=gamma, omega0=omega0,
+    cfg = RunConfig(topology=topology, theta=theta, gamma=gamma, omega0=omega0,
                     tmax=tmax, dt=dt, sample_stride=stride)
     try:
-        traj = charge_trajectory(cfg, theta=theta)
+        traj = charge_trajectory(cfg)
     except SimulationError as exc:
         raise SimulationError(f"sweep cell theta = {theta:.10g} failed: {exc}") from exc
     return np.array(
@@ -331,18 +325,24 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
     return SweepResult(thetas=thetas, cells=cells, summary=summary)
 
 
-def run_chiral(cfg: RunConfig, tmax_explicit: bool = False):
+def run_chiral(cfg: RunConfig, explicit=()):
+    """Pitch-catch run; ``explicit`` names the keys set by flag or config file.
+
+    Only an explicit window or stride replaces the protocol's defaults
+    (3 tau and about 600 snapshots).
+    """
     protocol = ChiralProtocol(
         gamma_max=cfg.gamma_max,
         tau=cfg.tau_scaled / cfg.gamma_max,
         theta=cfg.theta,
         direction=cfg.direction,
     )
-    if tmax_explicit:  # explicit window overrides the 3*tau default
-        stride = max(1, round(cfg.tmax / cfg.dt / 600))
-        grid = TimeGrid(0.0, cfg.tmax, dt=cfg.dt, sample_stride=stride)
+    stride = cfg.sample_stride if "sample_stride" in explicit else 0
+    if "tmax" in explicit:
+        grid = TimeGrid(0.0, cfg.tmax, dt=cfg.dt,
+                        sample_stride=stride or default_stride(cfg.tmax, cfg.dt))
     else:
-        grid = default_grid(protocol, dt=cfg.dt)
+        grid = default_grid(protocol, dt=cfg.dt, sample_stride=stride)
     traj, s = run_transfer(protocol, grid=grid, omega0=cfg.omega0)
     rows = [
         (r.t, r.p_a, r.p_b, r.E, r.ergotropy, r.sigma, r.power, r.purity, float(lk))
@@ -431,7 +431,7 @@ def main(argv=None) -> int:
                     rows.append((th, row[0], *(row[c] for c in cols)))
             _emit(cfg, header, rows, result.summary)
         else:
-            header, rows, summary = run_chiral(cfg, tmax_explicit="tmax" in explicit)
+            header, rows, summary = run_chiral(cfg, explicit)
             _emit(cfg, header, rows, summary)
         return 0
     except ConfigError as exc:

@@ -1,10 +1,8 @@
 """Deterministic time-stepping of the master equation.
 
-The default method is classical fixed-step RK4; when tolerances are given
-an embedded Cash-Karp 4(5) pair with step-size control is used instead.
-After every step the state is re-Hermitized by averaging with its
-conjugate transpose, and the trace is renormalized only if the drift
-exceeds 1e-12.  Identical inputs produce bit-identical trajectories.
+The method is classical fixed-step RK4.  After every step the state is
+re-Hermitized by averaging with its conjugate transpose, and the trace is
+renormalized only if the drift exceeds 1e-12.  Identical inputs produce bit-identical trajectories.
 
 An optional scalar integrand (used for leakage bookkeeping in the chiral
 protocol) is advanced through the same Runge-Kutta stages as the state, so
@@ -40,17 +38,15 @@ class DivergenceError(SimulationError):
 class TimeGrid:
     """Integration window and sampling.
 
-    Fixed-step mode uses ``dt``; adaptive mode is selected by passing
-    ``rel_tol``/``abs_tol`` (dt then seeds the initial step).  Snapshots
-    are recorded every ``sample_stride`` steps plus the final time.
+    Steps of size ``dt`` (plus one shorter step to land on ``t_end``);
+    snapshots are recorded every ``sample_stride`` steps plus the final
+    time.
     """
 
     t_start: float
     t_end: float
     dt: float = DEFAULT_DT
     sample_stride: int = 1
-    rel_tol: Optional[float] = None
-    abs_tol: Optional[float] = None
 
     def __post_init__(self):
         if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
@@ -61,14 +57,6 @@ class TimeGrid:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.sample_stride < 1:
             raise ValueError(f"sample_stride must be >= 1, got {self.sample_stride}")
-        if (self.rel_tol is None) != (self.abs_tol is None):
-            raise ValueError("rel_tol and abs_tol must be given together")
-        if self.rel_tol is not None and not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("tolerances must be positive")
-
-    @property
-    def adaptive(self) -> bool:
-        return self.rel_tol is not None
 
 
 @dataclass
@@ -88,20 +76,6 @@ class ChargingTrajectory:
     records: list = field(default_factory=list)
 
 
-# Cash-Karp embedded 4(5) coefficients
-_CK_C = (0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8)
-_CK_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (3 / 10, -9 / 10, 6 / 5),
-    (-11 / 54, 5 / 2, -70 / 27, 35 / 27),
-    (1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096),
-)
-_CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
-_CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
-
-
 def _check_snapshot(rho: np.ndarray, t: float, eig_floor: float = 1e-6) -> float:
     if not np.isfinite(rho).all():
         raise DivergenceError(f"non-finite state at t = {t:.6g}")
@@ -111,41 +85,6 @@ def _check_snapshot(rho: np.ndarray, t: float, eig_floor: float = 1e-6) -> float
             f"positivity violated at t = {t:.6g}: min eigenvalue {min_eig:.3e}"
         )
     return min_eig
-
-
-class _Stepper:
-    """Shared state-advancement core: one RK4 step plus cleanup."""
-
-    def __init__(self, gen, aux):
-        self.gen = gen
-        self.aux = aux
-        self.acc = 0.0
-        self.drift_max = 0.0
-
-    def rk4_step(self, t, rho, h):
-        gen = self.gen
-        k1 = gen(t, rho)
-        y2 = rho + (0.5 * h) * k1
-        k2 = gen(t + 0.5 * h, y2)
-        y3 = rho + (0.5 * h) * k2
-        k3 = gen(t + 0.5 * h, y3)
-        y4 = rho + h * k3
-        k4 = gen(t + h, y4)
-        if self.aux is not None:
-            a = self.aux
-            self.acc += (h / 6.0) * (
-                a(t, rho) + 2.0 * a(t + 0.5 * h, y2) + 2.0 * a(t + 0.5 * h, y3) + a(t + h, y4)
-            )
-        return self.cleanup(rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-
-    def cleanup(self, rho):
-        rho = 0.5 * (rho + rho.conj().T)
-        drift = abs(rho.trace().real - 1.0)
-        if drift > self.drift_max:
-            self.drift_max = drift
-        if drift > 1e-12:
-            rho = rho / rho.trace().real
-        return rho
 
 
 def evolve(
@@ -163,87 +102,69 @@ def evolve(
     """
     validate_density_matrix(rho0)
     rho = np.array(rho0, dtype=complex)
-    stepper = _Stepper(make_generator(spec), aux)
-    stepper.acc = aux0
+    gen = make_generator(spec)
+    acc = aux0
+    drift_max = 0.0
+
+    def rk4_step(t, rho, h):
+        """One RK4 step, then re-Hermitization and trace renormalization."""
+        nonlocal acc, drift_max
+        k1 = gen(t, rho)
+        y2 = rho + (0.5 * h) * k1
+        k2 = gen(t + 0.5 * h, y2)
+        y3 = rho + (0.5 * h) * k2
+        k3 = gen(t + 0.5 * h, y3)
+        y4 = rho + h * k3
+        k4 = gen(t + h, y4)
+        if aux is not None:
+            acc += (h / 6.0) * (
+                aux(t, rho) + 2.0 * aux(t + 0.5 * h, y2) + 2.0 * aux(t + 0.5 * h, y3)
+                + aux(t + h, y4)
+            )
+        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rho = 0.5 * (rho + rho.conj().T)
+        drift = abs(rho.trace().real - 1.0)
+        drift_max = max(drift_max, drift)
+        if drift > 1e-12:
+            rho = rho / rho.trace().real
+        return rho
 
     times = [grid.t_start]
     states = [rho.copy()]
     aux_vals = [aux0] if aux is not None else None
     min_eig = _check_snapshot(rho, grid.t_start)
-    n_steps = 0
 
     def record(t, rho):
         nonlocal min_eig
         times.append(t)
         states.append(rho.copy())
         if aux_vals is not None:
-            aux_vals.append(stepper.acc)
-        m = _check_snapshot(rho, t)
-        if m < min_eig:
-            min_eig = m
+            aux_vals.append(acc)
+        min_eig = min(min_eig, _check_snapshot(rho, t))
 
-    if not grid.adaptive:
-        span = grid.t_end - grid.t_start
-        n_full = int(math.floor(span / grid.dt + 1e-9))
-        rem = span - n_full * grid.dt
-        if rem < 1e-12 * max(1.0, abs(grid.t_end)):
-            rem = 0.0
-        t = grid.t_start
-        for i in range(n_full):
-            rho = stepper.rk4_step(t, rho, grid.dt)
-            t = grid.t_start + (i + 1) * grid.dt
-            n_steps += 1
-            is_last = i + 1 == n_full and rem == 0.0
-            if (i + 1) % grid.sample_stride == 0 and not is_last:
-                record(t, rho)
-        if rem > 0.0:
-            rho = stepper.rk4_step(t, rho, rem)
-            n_steps += 1
-        record(grid.t_end, rho)
-    else:
-        t = grid.t_start
-        h = min(grid.dt, grid.t_end - grid.t_start)
-        accepted = 0
-        while t < grid.t_end - 1e-14 * max(1.0, abs(grid.t_end)):
-            h = min(h, grid.t_end - t)
-            ks = []
-            as_ = []
-            for s in range(6):
-                y = rho
-                for j, a_sj in enumerate(_CK_A[s]):
-                    if a_sj != 0.0:
-                        y = y + (h * a_sj) * ks[j]
-                ks.append(stepper.gen(t + _CK_C[s] * h, y))
-                if aux is not None:
-                    as_.append(aux(t + _CK_C[s] * h, y))
-            rho5 = rho
-            rho4 = rho
-            for s in range(6):
-                rho5 = rho5 + (h * _CK_B5[s]) * ks[s]
-                rho4 = rho4 + (h * _CK_B4[s]) * ks[s]
-            err = float(np.abs(rho5 - rho4).max())
-            scale = grid.abs_tol + grid.rel_tol * max(1.0, float(np.abs(rho5).max()))
-            if err <= scale or h <= 1e-12:
-                if aux is not None:
-                    stepper.acc += h * sum(b * a for b, a in zip(_CK_B5, as_))
-                rho = stepper.cleanup(rho5)
-                t = t + h
-                n_steps += 1
-                accepted += 1
-                if accepted % grid.sample_stride == 0 and t < grid.t_end - 1e-14:
-                    record(t, rho)
-            # standard 5th-order controller with safety factor and clamps
-            factor = 0.9 * (scale / err) ** 0.2 if err > 0.0 else 5.0
-            h = h * min(5.0, max(0.2, factor))
-        record(grid.t_end, rho)
+    span = grid.t_end - grid.t_start
+    n_full = int(math.floor(span / grid.dt + 1e-9))
+    rem = span - n_full * grid.dt
+    if rem < 1e-12 * max(1.0, abs(grid.t_end)):
+        rem = 0.0
+    t = grid.t_start
+    for i in range(n_full):
+        rho = rk4_step(t, rho, grid.dt)
+        t = grid.t_start + (i + 1) * grid.dt
+        is_last = i + 1 == n_full and rem == 0.0
+        if (i + 1) % grid.sample_stride == 0 and not is_last:
+            record(t, rho)
+    if rem > 0.0:
+        rho = rk4_step(t, rho, rem)
+    record(grid.t_end, rho)
 
     return ChargingTrajectory(
         times=np.array(times),
         states=np.array(states),
         aux=np.array(aux_vals) if aux_vals is not None else None,
-        max_trace_drift=stepper.drift_max,
+        max_trace_drift=drift_max,
         min_eigenvalue=min_eig,
-        step_count=n_steps,
+        step_count=n_full + int(rem > 0.0),
     )
 
 

@@ -116,13 +116,10 @@ class LiouvillianSpec:
     anti-Hermitian structure and sign are fixed by the dissipator kind.
     """
 
-    omega0: float
     params: ParamsLike
     dissipator_kind: str = BIDIRECTIONAL
 
     def __post_init__(self):
-        if not self.omega0 > 0.0:
-            raise ValueError(f"omega0 must be positive, got {self.omega0}")
         if self.dissipator_kind not in _DISSIPATOR_KINDS:
             raise ValueError(f"unknown dissipator kind {self.dissipator_kind!r}")
         if self.dissipator_kind == BIDIRECTIONAL and callable(self.params):

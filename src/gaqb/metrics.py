@@ -62,11 +62,7 @@ def charger_population(rho: np.ndarray) -> float:
 def charger_state(rho: np.ndarray) -> np.ndarray:
     """Reduced 2x2 state of the charger (trace over the battery)."""
     rho = np.asarray(rho)
-    out = np.empty((2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            out[i, j] = rho[2 * i, 2 * j] + rho[2 * i + 1, 2 * j + 1]
-    return out
+    return rho[0::2, 0::2] + rho[1::2, 1::2]
 
 
 def energy(b: BatteryState, omega0: float = 1.0) -> float:

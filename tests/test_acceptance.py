@@ -46,7 +46,7 @@ def refined_max(cell, col):
 
 
 def spec_for(topo, theta, gamma=0.1):
-    return LiouvillianSpec(1.0, closed_form_params(CouplingLayout(topo, theta, gamma)))
+    return LiouvillianSpec(closed_form_params(CouplingLayout(topo, theta, gamma)))
 
 
 def test_c01_decoherence_free_charging_matches_rabi():

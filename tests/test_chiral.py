@@ -140,7 +140,7 @@ def test_catch_disabled_loses_everything():
         f = rate_profile(t, GMAX, TAU)
         return CouplingParams(0.0, 0.0, 0.0, 2.0 * f, 0.0, 0.0)
 
-    spec = LiouvillianSpec(1.0, params, dissipator_kind=CASCADED_RIGHT)
+    spec = LiouvillianSpec(params, dissipator_kind=CASCADED_RIGHT)
 
     def leak(t, rho):
         L = jump_operator(params(t), CASCADED_RIGHT)
@@ -182,7 +182,7 @@ def test_wrong_cascade_direction_breaks_unidirectionality():
     mixed_b = np.kron(np.diag([0.0, 1.0]).astype(complex), 0.5 * np.eye(2, dtype=complex))
     devs = {}
     for kind in ("cascaded_right", "cascaded_left"):
-        spec = LiouvillianSpec(1.0, const, dissipator_kind=kind)
+        spec = LiouvillianSpec(const, dissipator_kind=kind)
         t1 = evolve(spec, projector("eg"), grid)
         t2 = evolve(spec, mixed_b, grid)
         devs[kind] = max(
@@ -217,4 +217,3 @@ def test_too_fast_protocol_degrades():
 def test_default_grid_spans_three_tau():
     g = default_grid(PROTO)
     assert g.t_start == 0.0 and g.t_end == 3 * TAU
-    assert not g.adaptive

@@ -84,6 +84,8 @@ def test_validation_errors():
         merge_config(None, {"dt": -0.1})
     with pytest.raises(ConfigError):
         merge_config(None, {"metrics": "E,entropy"})
+    with pytest.raises(ConfigError):
+        merge_config(None, {"metrics": "E, E"})
 
 
 # --- commands end to end -----------------------------------------------------
@@ -185,6 +187,29 @@ def test_chiral_command_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == ",".join(CHARGE_HEADER) + ",leakage"
     assert any(l.startswith("# final_battery_energy") for l in lines)
+
+
+def test_chiral_stride_only_when_set(tmp_path):
+    # 3,000 steps split at tau into 1,000 + 2,000; the default stride is
+    # 5 (about 600 snapshots), not RunConfig's sample_stride of 50
+    args = ["chiral", "--gamma-max", "0.1", "--tau-scaled", "10", "--dt", "0.1"]
+
+    def rows(*extra):
+        out = tmp_path / "chiral.csv"
+        assert main(args + list(extra) + ["--out", str(out)]) == 0
+        return sum(1 for l in out.read_text().splitlines()[1:] if not l.startswith("#"))
+
+    assert rows() == 601
+    assert rows("--stride", "7") == 430  # 1 + 142 + 1 and 285 + 1 snapshots
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("sample_stride = 7\n", encoding="utf-8")
+    assert rows("--config", str(cfg_file)) == 430
+
+
+def test_out_into_missing_directory(tmp_path, capsys):
+    path = tmp_path / "absent" / "x.csv"
+    assert main(["params", "--theta-steps", "3", "--out", str(path)]) == 1
+    assert f"gaqb: error: cannot write {path}: " in capsys.readouterr().err
 
 
 def test_exit_code_usage_errors(capsys):

@@ -27,13 +27,13 @@ RNG = np.random.default_rng(20240817)
 
 
 def spec_for(topo, theta, gamma=0.1):
-    return LiouvillianSpec(1.0, closed_form_params(CouplingLayout(topo, theta, gamma)))
+    return LiouvillianSpec(closed_form_params(CouplingLayout(topo, theta, gamma)))
 
 
 def cascaded_spec(kind=CASCADED_RIGHT):
     p = ChiralProtocol(gamma_max=0.1, tau=50.0)
     params = chiral_coupling_params(30.0, p)
-    return LiouvillianSpec(1.0, params, dissipator_kind=kind)
+    return LiouvillianSpec(params, dissipator_kind=kind)
 
 
 ALL_SPECS = [
@@ -241,8 +241,6 @@ def test_validate_density_matrix_accepts_valid():
 def test_spec_validation():
     p = closed_form_params(CouplingLayout(BRAIDED, 0.3, 0.1))
     with pytest.raises(ValueError):
-        LiouvillianSpec(0.0, p)
+        LiouvillianSpec(p, dissipator_kind="sideways")
     with pytest.raises(ValueError):
-        LiouvillianSpec(1.0, p, dissipator_kind="sideways")
-    with pytest.raises(ValueError):
-        LiouvillianSpec(1.0, lambda t: p, dissipator_kind=BIDIRECTIONAL)
+        LiouvillianSpec(lambda t: p, dissipator_kind=BIDIRECTIONAL)

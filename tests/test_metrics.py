@@ -10,6 +10,7 @@ from gaqb.metrics import (
     BatteryState,
     average_power,
     charger_population,
+    charger_state,
     compute_records,
     energy,
     ergotropy,
@@ -50,6 +51,17 @@ def test_partial_trace_dark_state_mixture():
     b = partial_trace_battery(rho)
     np.testing.assert_allclose(b.rho, np.diag([0.75, 0.25]), atol=1e-15)
     assert charger_population(rho) == pytest.approx(0.25)
+
+
+def test_charger_state_matches_index_loop():
+    rng = np.random.default_rng(5)  # own stream: leaves RNG's draws to later tests
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = a @ a.conj().T
+    rho /= rho.trace().real
+    loop = np.array([[rho[2 * i, 2 * j] + rho[2 * i + 1, 2 * j + 1] for j in range(2)]
+                     for i in range(2)])
+    assert np.array_equal(charger_state(rho), loop)
+    assert charger_state(rho)[1, 1].real == charger_population(rho)
 
 
 def test_partial_trace_keeps_coherence():
@@ -117,7 +129,7 @@ def test_average_power():
 def test_records_single_excitation_runs_stay_diagonal():
     # Charging from |e_a g_b> never creates 0-1 coherence on the battery,
     # so the ergotropy reduces to max(0, 2 p - 1).
-    spec = LiouvillianSpec(1.0, closed_form_params(CouplingLayout(BRAIDED, 0.9, 0.1)))
+    spec = LiouvillianSpec(closed_form_params(CouplingLayout(BRAIDED, 0.9, 0.1)))
     traj = evolve(spec, projector("eg"), TimeGrid(0.0, 60.0, dt=0.02, sample_stride=60))
     recs = compute_records(traj, 1.0)
     for rho, rec in zip(traj.states, recs):
@@ -129,7 +141,7 @@ def test_records_single_excitation_runs_stay_diagonal():
 
 
 def test_records_power_at_origin_is_zero():
-    spec = LiouvillianSpec(1.0, closed_form_params(CouplingLayout(BRAIDED, math.pi / 2, 0.1)))
+    spec = LiouvillianSpec(closed_form_params(CouplingLayout(BRAIDED, math.pi / 2, 0.1)))
     traj = evolve(spec, projector("eg"), TimeGrid(0.0, 1.0, dt=0.01, sample_stride=100))
     recs = compute_records(traj, 1.0)
     assert recs[0].t == 0.0
