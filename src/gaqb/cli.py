@@ -16,7 +16,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import multiprocessing
@@ -32,9 +31,10 @@ from .chiral import ChiralProtocol, default_grid, default_stride, run_transfer
 from .geometry import BUILTIN_TOPOLOGIES, CouplingLayout, closed_form_params
 from .integrator import TimeGrid, evolve
 from .liouville import LiouvillianSpec, SimulationError, projector
-from .metrics import compute_records
+from .metrics import compute_records, metric_arrays
 
 SWEEP_METRICS = ("E", "ergotropy", "sigma", "power", "energy_power")
+_CELL_COLS = {name: col for col, name in enumerate(SWEEP_METRICS, start=1)}
 
 
 class ConfigError(Exception):
@@ -117,8 +117,14 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError("omega0, tmax and dt must be positive")
     if cfg.sample_stride < 1:
         raise ConfigError("sample_stride must be >= 1")
+    try:
+        TimeGrid(0.0, cfg.tmax, dt=cfg.dt)  # the step budget
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if cfg.theta_steps < 2:
         raise ConfigError("theta_steps must be >= 2")
+    if not cfg.theta_min < cfg.theta_max:
+        raise ConfigError(f"theta_min must be below theta_max, got [{cfg.theta_min}, {cfg.theta_max}]")
     if cfg.workers < 0:
         raise ConfigError("workers must be >= 0")
     if cfg.gamma_max <= 0 or cfg.tau_scaled <= 0:
@@ -167,28 +173,30 @@ def write_json(stream, header, rows, summary: Optional[dict] = None):
     payload = {"records": records}
     if summary is not None:
         payload["summary"] = summary
-    stream.write(json.dumps(payload, indent=1))
+    json.dump(payload, stream, indent=1)
     stream.write("\n")
 
 
 def _emit(cfg: RunConfig, header, rows, summary: Optional[dict] = None):
-    buf = io.StringIO()
-    if cfg.format == "csv":
-        lines = []
-        if summary:
-            lines = [f"{k} = {_fmt(v) if isinstance(v, float) else v}" for k, v in summary.items()]
-        write_csv(buf, header, rows, lines)
-    else:
-        write_json(buf, header, rows, summary)
-    data = buf.getvalue()
+    """Write the rows straight to stdout or to the --out file."""
+
+    def write(stream):
+        if cfg.format == "csv":
+            lines = []
+            if summary:
+                lines = [f"{k} = {_fmt(v) if isinstance(v, float) else v}" for k, v in summary.items()]
+            write_csv(stream, header, rows, lines)
+        else:
+            write_json(stream, header, rows, summary)
+
     if cfg.out is None:
-        sys.stdout.write(data)
-    else:
-        try:
-            with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(data)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {cfg.out}: {exc.strerror or exc}")
+        write(sys.stdout)
+        return
+    try:
+        with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
+            write(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {cfg.out}: {exc.strerror or exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -230,21 +238,31 @@ def run_charge(cfg: RunConfig):
     return CHARGE_HEADER, rows
 
 
-def _sweep_cell(args):
-    """One theta cell; module-level so worker processes can unpickle it."""
-    theta, topology, gamma, omega0, tmax, dt, stride = args
-    cfg = RunConfig(topology=topology, theta=theta, gamma=gamma, omega0=omega0,
-                    tmax=tmax, dt=dt, sample_stride=stride)
+def _sweep_shard(args):
+    """Metric tables of a run of theta cells, integrated as one batch.
+
+    Module-level so worker processes can unpickle it.  Returns an (N,T,6)
+    array of (t, E, ergotropy, sigma, power, energy_power) per cell.
+    """
+    thetas, topology, gamma, omega0, tmax, dt, stride = args
+    topo = BUILTIN_TOPOLOGIES[topology]
+    specs = [LiouvillianSpec(closed_form_params(CouplingLayout(topo, th, gamma)))
+             for th in thetas]
+    grid = TimeGrid(0.0, tmax, dt=dt, sample_stride=stride)
     try:
-        traj = charge_trajectory(cfg)
+        traj = evolve(specs, projector("eg"), grid)
     except SimulationError as exc:
+        theta = thetas[getattr(exc, "cell", 0)]
         raise SimulationError(f"sweep cell theta = {theta:.10g} failed: {exc}") from exc
-    return np.array(
-        [(r.t, r.E, r.ergotropy, r.sigma, r.power, r.energy_power) for r in traj.records]
-    )
+    m = metric_arrays(traj, omega0)
+    return np.stack([m[name] for name in ("t", *_CELL_COLS)], axis=-1)
 
 
-_CELL_COLS = {"E": 1, "ergotropy": 2, "sigma": 3, "power": 4, "energy_power": 5}
+def _sweep_cell(args):
+    """One theta cell: a batch of one, with the bits it has inside any batch."""
+    theta, *rest = args
+    return _sweep_shard(((theta,), *rest))[0]
+
 
 
 def _parabolic_peak(ts, fs, i):
@@ -272,25 +290,30 @@ class SweepResult:
 def run_sweep(cfg: RunConfig) -> SweepResult:
     """Charging metrics over the theta grid, plus refined global maxima.
 
-    Cells are independent and computed in parallel; the output ordering is
-    theta-major and identical to a serial run.  The summary holds, for each
-    metric, the grid maximum refined by a dense (every-step) rerun at the
-    best theta followed by three-point parabolic interpolation, and also
-    the largest end-of-window battery energy (steady storage level).
+    The theta grid is split into ``min(workers, theta_steps)`` contiguous
+    shards, each integrated as one batch; shards beyond the first run on a
+    spawn pool.  The output ordering is theta-major and identical for any
+    split.  The summary holds, for each metric, the grid maximum refined
+    by a dense (every-step) rerun at the best theta followed by
+    three-point parabolic interpolation, and also the largest
+    end-of-window battery energy (steady storage level).
     """
     thetas = _theta_grid(cfg)
-    args = [(float(th), cfg.topology, cfg.gamma, cfg.omega0, cfg.tmax, cfg.dt,
-             cfg.sample_stride) for th in thetas]
     workers = cfg.workers if cfg.workers > 0 else (os.cpu_count() or 1)
-    if workers == 1:
-        cells = [_sweep_cell(a) for a in args]
+    rest = (cfg.topology, cfg.gamma, cfg.omega0, cfg.tmax, cfg.dt, cfg.sample_stride)
+    shards = [(tuple(part.tolist()), *rest)
+              for part in np.array_split(thetas, min(workers, len(thetas)))]
+    if len(shards) == 1:
+        tables = [_sweep_shard(shards[0])]
     else:
         # spawned workers start from clean interpreters; forking a process
-        # whose BLAS thread pool is mid-operation can deadlock the children
+        # whose BLAS thread pool is mid-operation can deadlock the children.
+        # This process runs the first shard while the pool runs the others.
         ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            chunk = max(1, len(args) // (4 * workers))
-            cells = list(pool.map(_sweep_cell, args, chunksize=chunk))
+        with ProcessPoolExecutor(max_workers=len(shards) - 1, mp_context=ctx) as pool:
+            others = pool.map(_sweep_shard, shards[1:])
+            tables = [_sweep_shard(shards[0]), *others]
+    cells = [cell for table in tables for cell in table]
 
     summary: dict = {}
     dense_cache: dict = {}
@@ -331,18 +354,21 @@ def run_chiral(cfg: RunConfig, explicit=()):
     Only an explicit window or stride replaces the protocol's defaults
     (3 tau and about 600 snapshots).
     """
-    protocol = ChiralProtocol(
-        gamma_max=cfg.gamma_max,
-        tau=cfg.tau_scaled / cfg.gamma_max,
-        theta=cfg.theta,
-        direction=cfg.direction,
-    )
     stride = cfg.sample_stride if "sample_stride" in explicit else 0
-    if "tmax" in explicit:
-        grid = TimeGrid(0.0, cfg.tmax, dt=cfg.dt,
-                        sample_stride=stride or default_stride(cfg.tmax, cfg.dt))
-    else:
-        grid = default_grid(protocol, dt=cfg.dt, sample_stride=stride)
+    try:
+        protocol = ChiralProtocol(
+            gamma_max=cfg.gamma_max,
+            tau=cfg.tau_scaled / cfg.gamma_max,
+            theta=cfg.theta,
+            direction=cfg.direction,
+        )
+        if "tmax" in explicit:
+            grid = TimeGrid(0.0, cfg.tmax, dt=cfg.dt,
+                            sample_stride=stride or default_stride(cfg.tmax, cfg.dt))
+        else:
+            grid = default_grid(protocol, dt=cfg.dt, sample_stride=stride)
+    except ValueError as exc:  # a decoupling theta or a window over the step budget
+        raise ConfigError(str(exc)) from exc
     traj, s = run_transfer(protocol, grid=grid, omega0=cfg.omega0)
     rows = [
         (r.t, r.p_a, r.p_b, r.E, r.ergotropy, r.sigma, r.power, r.purity, float(lk))
@@ -424,11 +450,11 @@ def main(argv=None) -> int:
             result = run_sweep(cfg)
             chosen = [m.strip() for m in cfg.metrics.split(",")]
             header = ("theta", "t") + tuple(chosen)
-            cols = [_CELL_COLS[m] for m in chosen]
-            rows = []
-            for th, cell in zip(result.thetas, result.cells):
-                for row in cell:
-                    rows.append((th, row[0], *(row[c] for c in cols)))
+            cols = [0] + [_CELL_COLS[m] for m in chosen]
+            rows = np.concatenate([
+                np.column_stack([np.full(len(cell), th), cell[:, cols]])
+                for th, cell in zip(result.thetas, result.cells)
+            ])
             _emit(cfg, header, rows, result.summary)
         else:
             header, rows, summary = run_chiral(cfg, explicit)

@@ -17,7 +17,7 @@ Lamb shifts appear in the coherent part.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -180,35 +180,66 @@ def effective_hamiltonian(spec: LiouvillianSpec, t: float = 0.0) -> np.ndarray:
     return H + sign * abs(p.g_ab) * EXCHANGE_CHIRAL
 
 
-def make_generator(spec: LiouvillianSpec) -> Callable[[float, np.ndarray], np.ndarray]:
+def _bidirectional_parts(spec: LiouvillianSpec):
+    """K = -iH - 1/2 (Gamma_a n_a + Gamma_b n_b + Gamma_coll X) and the three jump rates."""
+    p = spec.params_at(0.0)
+    H = effective_hamiltonian(spec)
+    K = -1j * H - 0.5 * (
+        p.Gamma_a * NUMBER_A + p.Gamma_b * NUMBER_B + p.Gamma_coll * EXCHANGE
+    )
+    return K, (p.Gamma_a, p.Gamma_b, p.Gamma_coll)
+
+
+def make_generator(
+    spec: Union[LiouvillianSpec, Sequence[LiouvillianSpec]],
+) -> Callable[[float, np.ndarray], np.ndarray]:
     """Compile the spec into a fast rhs closure (no per-call validation).
 
     The returned function computes drho/dt = K rho + rho K^dag + jumps,
     where K folds the Hamiltonian and the anticommutator halves together.
+    It maps a 4x4 state, or an (N,4,4) stack, to its derivative.
+
+    ``spec`` may also be a sequence of N bidirectional specs; the closure
+    then advances an (N,4,4) stack, cell i under spec i.  Each cell sees
+    the floating-point operations of its own single-spec closure: a jump
+    term is added only where its rate is nonzero, and skipped altogether
+    when no cell has it.
     """
-    if spec.dissipator_kind == BIDIRECTIONAL:
-        p = spec.params_at(0.0)
-        H = effective_hamiltonian(spec)
-        K = -1j * H - 0.5 * (
-            p.Gamma_a * NUMBER_A + p.Gamma_b * NUMBER_B + p.Gamma_coll * EXCHANGE
-        )
-        Kd = K.conj().T
-        ga, gb, gc = p.Gamma_a, p.Gamma_b, p.Gamma_coll
-        sa, sb = SIGMA_MINUS_A, SIGMA_MINUS_B
-        sad, sbd = SIGMA_PLUS_A, SIGMA_PLUS_B
+    if not isinstance(spec, LiouvillianSpec):
+        if any(s.dissipator_kind != BIDIRECTIONAL for s in spec):
+            raise ValueError("only bidirectional specs can be stacked")
+        parts = [_bidirectional_parts(s) for s in spec]
+        K = np.stack([k for k, _ in parts])
+        rates = np.array([r for _, r in parts]).T[:, :, None, None]  # (3, N, 1, 1)
+    elif spec.dissipator_kind == BIDIRECTIONAL:
+        K, rates = _bidirectional_parts(spec)
+    else:
+        return _cascaded_generator(spec)
 
-        def rhs_const(t, rho):
-            out = K @ rho + rho @ Kd
-            if ga != 0.0:
-                out += ga * (sa @ rho @ sad)
-            if gb != 0.0:
-                out += gb * (sb @ rho @ sbd)
-            if gc != 0.0:
-                out += gc * (sa @ rho @ sbd + sb @ rho @ sad)
-            return out
+    Kd = K.conj().swapaxes(-1, -2)
+    sa, sb = SIGMA_MINUS_A, SIGMA_MINUS_B
+    sad, sbd = SIGMA_PLUS_A, SIGMA_PLUS_B
+    # each term from sa @ rho and sb @ rho, computed once per call
+    terms = (
+        lambda a, b: a @ sad,
+        lambda a, b: b @ sbd,
+        lambda a, b: a @ sbd + b @ sad,
+    )
+    jumps = [(g, np.not_equal(g, 0.0), term) for g, term in zip(rates, terms)
+             if np.any(g != 0.0)]
 
-        return rhs_const
+    def rhs_const(t, rho):
+        out = K @ rho + rho @ Kd
+        if jumps:
+            a, b = sa @ rho, sb @ rho
+            for g, nonzero, term in jumps:
+                np.add(out, g * term(a, b), out=out, where=nonzero)
+        return out
 
+    return rhs_const
+
+
+def _cascaded_generator(spec: LiouvillianSpec) -> Callable[[float, np.ndarray], np.ndarray]:
     sign = 1.0 if spec.dissipator_kind == CASCADED_RIGHT else -1.0
     sa, sb = SIGMA_MINUS_A, SIGMA_MINUS_B
 

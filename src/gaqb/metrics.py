@@ -112,28 +112,41 @@ def purity(rho: np.ndarray) -> float:
     return float(np.trace(rho @ rho).real)
 
 
+def metric_arrays(traj: ChargingTrajectory, omega0: float = 1.0) -> dict:
+    """Every :class:`MetricsRecord` field as an array over the snapshots.
+
+    Works on (T,4,4) and batched (N,T,4,4) states alike; each entry has
+    the states' leading shape and holds, bit for bit, the value the
+    per-state functions above give for that snapshot.
+    """
+    states = traj.states
+    times = np.broadcast_to(traj.times, states.shape[:-2])
+    rb = states[..., 0:2, 0:2] + states[..., 2:4, 2:4]
+    p = rb[..., 1, 1].real
+    E = omega0 * p
+    passive = np.linalg.eigvalsh(0.5 * (rb + rb.conj().swapaxes(-1, -2)))[..., 0] * omega0
+    value = omega0 * p - passive
+    erg = np.where(value > 0.0, value, 0.0)
+    var = omega0 * omega0 * p - E * E
+    std = np.sqrt(np.where(var > 0.0, var, 0.0))
+    elapsed = times - traj.times[0]
+    return {
+        "t": times,
+        "E": E,
+        "ergotropy": erg,
+        "sigma": std - std[..., :1],
+        "power": np.divide(erg, elapsed, out=np.zeros_like(E), where=elapsed != 0.0),
+        "energy_power": np.divide(E, elapsed, out=np.zeros_like(E), where=elapsed > 0.0),
+        "p_a": states[..., 2, 2].real + states[..., 3, 3].real,
+        "p_b": p,
+        "purity": np.trace(states @ states, axis1=-2, axis2=-1).real,
+    }
+
+
 def compute_records(traj: ChargingTrajectory, omega0: float = 1.0) -> list[MetricsRecord]:
     """Fill traj.records with per-snapshot MetricsRecord entries."""
-    b0 = partial_trace_battery(traj.states[0])
-    records = []
-    t0 = traj.times[0]
-    for t, rho in zip(traj.times, traj.states):
-        b = partial_trace_battery(rho)
-        E = energy(b, omega0)
-        erg = ergotropy(b, omega0)
-        elapsed = t - t0
-        records.append(
-            MetricsRecord(
-                t=float(t),
-                E=E,
-                ergotropy=erg,
-                sigma=fluctuation(b, b0, omega0),
-                power=average_power(erg, elapsed),
-                energy_power=E / elapsed if elapsed > 0.0 else 0.0,
-                p_a=charger_population(rho),
-                p_b=b.p,
-                purity=purity(rho),
-            )
-        )
+    cols = metric_arrays(traj, omega0)
+    fields = MetricsRecord.__dataclass_fields__
+    records = [MetricsRecord(*row) for row in zip(*(cols[f].tolist() for f in fields))]
     traj.records = records
     return records

@@ -14,6 +14,7 @@ from gaqb.cli import (
     merge_config,
     read_config_file,
     run_sweep,
+    _sweep_cell,
 )
 
 SWEEP_ARGS = [
@@ -86,6 +87,10 @@ def test_validation_errors():
         merge_config(None, {"metrics": "E,entropy"})
     with pytest.raises(ConfigError):
         merge_config(None, {"metrics": "E, E"})
+    with pytest.raises(ConfigError, match="dt = 1e-300 needs 1e\\+300 steps"):
+        merge_config(None, {"tmax": 1.0, "dt": 1e-300})
+    with pytest.raises(ConfigError, match="theta_min must be below theta_max"):
+        merge_config(None, {"theta_min": 1.0, "theta_max": 0.0})
 
 
 # --- commands end to end -----------------------------------------------------
@@ -218,6 +223,10 @@ def test_exit_code_usage_errors(capsys):
     assert main(["nonsense"]) == 1
     err = capsys.readouterr().err
     assert "error" in err
+    # chiral's default 3 tau window, which tmax does not bound, has the
+    # same step budget
+    assert main(["chiral", "--tau-scaled", "1e9", "--dt", "0.01"]) == 1
+    assert "gaqb: error: dt = 0.01 needs 3e+12 steps" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -227,6 +236,25 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
                "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert "numerical failure" in capsys.readouterr().err
+    rc = main(["sweep", "--theta-min", "0.25", "--theta-max", "1", "--theta-steps", "2",
+               "--dt", "40", "--tmax", "20000", "--stride", "1000000000", "--workers", "1"])
+    assert rc == 2
+    assert "sweep cell theta = 0.25 failed: non-finite state at t = " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", [1, 2, 5])
+def test_sweep_cells_bit_identical_in_any_shard(workers):
+    # mirror pairs theta, 2 pi - theta in the nested layout, where the
+    # summary's argmax can rest on a 1e-16 difference between the two
+    lo = 0.4
+    cfg = RunConfig(topology="nested", theta_min=lo, theta_max=2 * math.pi - lo, theta_steps=4,
+                    tmax=6.0, dt=0.04, sample_stride=5, workers=workers)
+    res = run_sweep(cfg)
+    assert len(res.cells) == 4
+    for th, cell in zip(res.thetas, res.cells):
+        alone = _sweep_cell((float(th), "nested", cfg.gamma, 1.0, cfg.tmax, cfg.dt, 5))
+        assert alone.shape == cell.shape
+        assert (alone.view(np.uint64) == cell.view(np.uint64)).all()
 
 
 def test_config_file_drives_run(tmp_path):

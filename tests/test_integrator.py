@@ -19,7 +19,18 @@ from gaqb.integrator import (
     convergence_order,
     evolve,
 )
-from gaqb.liouville import LiouvillianSpec, StateValidationError, make_generator, projector
+from gaqb.liouville import (
+    EXCHANGE,
+    NUMBER_A,
+    NUMBER_B,
+    SIGMA_MINUS_A,
+    SIGMA_MINUS_B,
+    LiouvillianSpec,
+    StateValidationError,
+    effective_hamiltonian,
+    make_generator,
+    projector,
+)
 from gaqb.metrics import compute_records
 
 
@@ -112,6 +123,10 @@ def test_positivity_error_names_time():
     spec = LiouvillianSpec(bad)
     with pytest.raises(PositivityError, match="t = "):
         evolve(spec, EG, TimeGrid(0.0, 200.0, dt=0.05, sample_stride=100))
+    # in a batch, the error names the first failing cell
+    with pytest.raises(PositivityError, match="t = ") as err:
+        evolve([spec_for(0.7), spec, spec], EG, TimeGrid(0.0, 200.0, dt=0.05, sample_stride=100))
+    assert err.value.cell == 1
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -153,11 +168,74 @@ def test_aux_integrand_accumulates():
     g = 0.1
     exact = traj.times / 2 + np.sin(2 * g * traj.times) / (4 * g)
     assert np.abs(traj.aux - exact).max() <= 1e-9
+    with pytest.raises(ValueError, match="single spec"):
+        evolve([spec], EG, TimeGrid(0.0, 1.0, dt=0.02), aux=lambda t, rho: 0.0)
+
+
+def reference_step(spec, rho, h):
+    """One step of the per-cell path: a 4x4 RK4 step whose rhs skips a
+    zero-rate jump term with an `if`, then re-Hermitization and the
+    drift > 1e-12 renormalization."""
+    p = spec.params
+    K = -1j * effective_hamiltonian(spec) - 0.5 * (
+        p.Gamma_a * NUMBER_A + p.Gamma_b * NUMBER_B + p.Gamma_coll * EXCHANGE
+    )
+    Kd = K.conj().T
+    sa, sb = SIGMA_MINUS_A, SIGMA_MINUS_B
+    sad, sbd = sa.conj().T, sb.conj().T
+
+    def gen(r):
+        out = K @ r + r @ Kd
+        if p.Gamma_a != 0.0:
+            out += p.Gamma_a * (sa @ r @ sad)
+        if p.Gamma_b != 0.0:
+            out += p.Gamma_b * (sb @ r @ sbd)
+        if p.Gamma_coll != 0.0:
+            out += p.Gamma_coll * (sa @ r @ sbd + sb @ r @ sad)
+        return out
+
+    k1 = gen(rho)
+    k2 = gen(rho + (0.5 * h) * k1)
+    k3 = gen(rho + (0.5 * h) * k2)
+    k4 = gen(rho + h * k3)
+    rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    rho = 0.5 * (rho + rho.conj().T)
+    if abs(rho.trace().real - 1.0) > 1e-12:
+        rho = rho / rho.trace().real
+    return rho
+
+
+def test_batch_matches_per_cell_path_bitwise():
+    # zero-rate (braided pi/2, separated pi) and dissipative cells, mirror
+    # pairs included, from a mixed state with coherences in every entry
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho0 = a @ a.conj().T
+    rho0 /= rho0.trace().real
+    specs = [spec_for(math.pi / 2), spec_for(1.1, topo=NESTED),
+             spec_for(2 * math.pi - 1.1, topo=NESTED), spec_for(math.pi, topo=SEPARATED),
+             spec_for(0.3, topo=SEPARATED)]
+    grid = TimeGrid(0.0, 3.0, dt=0.07, sample_stride=4)  # 42 full steps plus 0.06
+    batch = evolve(specs, rho0, grid)
+    assert batch.states.shape == (5, len(batch.times), 4, 4)
+    assert batch.max_trace_drift.shape == batch.min_eigenvalue.shape == (5,)
+    for i, spec in enumerate(specs):
+        alone = evolve(spec, rho0, grid)
+        assert alone.states.shape == batch.states.shape[1:]
+        assert (alone.states.view(np.uint64) == batch.states[i].view(np.uint64)).all()
+        assert alone.max_trace_drift == batch.max_trace_drift[i]
+        rho = np.array(rho0, dtype=complex)
+        for _ in range(42):
+            rho = reference_step(spec, rho, 0.07)
+        rho = reference_step(spec, rho, 3.0 - 42 * 0.07)
+        assert (rho.view(np.uint64) == alone.states[-1].view(np.uint64)).all()
 
 
 def test_grid_validation():
     with pytest.raises(ValueError):
         TimeGrid(1.0, 1.0)
+    with pytest.raises(ValueError, match="dt = 1e-300 needs 1e\\+300 steps"):
+        TimeGrid(0.0, 1.0, dt=1e-300)
     with pytest.raises(ValueError):
         TimeGrid(0.0, 1.0, dt=-0.1)
     with pytest.raises(ValueError):

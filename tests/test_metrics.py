@@ -16,7 +16,9 @@ from gaqb.metrics import (
     ergotropy,
     ergotropy_closed_form,
     fluctuation,
+    metric_arrays,
     partial_trace_battery,
+    purity,
 )
 
 RNG = np.random.default_rng(77)
@@ -146,3 +148,31 @@ def test_records_power_at_origin_is_zero():
     recs = compute_records(traj, 1.0)
     assert recs[0].t == 0.0
     assert recs[0].power == 0.0 and recs[0].energy_power == 0.0
+
+
+def test_metric_arrays_match_per_state_functions_bitwise():
+    # the whole-array metrics give each snapshot the bits of the per-state
+    # functions, for a single trajectory and for a batch of cells
+    specs = [LiouvillianSpec(closed_form_params(CouplingLayout(BRAIDED, th, 0.1)))
+             for th in (0.4, math.pi / 2, 2.2)]
+    grid = TimeGrid(0.0, 30.0, dt=0.05, sample_stride=7)
+    batch = evolve(specs, projector("eg"), grid)
+    cells = metric_arrays(batch, 0.8)
+    for i, spec in enumerate(specs):
+        traj = evolve(spec, projector("eg"), grid)
+        recs = compute_records(traj, 0.8)
+        b0 = partial_trace_battery(traj.states[0])
+        expected = []
+        for t, rho in zip(traj.times, traj.states):
+            b = partial_trace_battery(rho)
+            erg = ergotropy(b, 0.8)
+            elapsed = t - traj.times[0]
+            expected.append((float(t), energy(b, 0.8), erg, fluctuation(b, b0, 0.8),
+                             average_power(erg, elapsed),
+                             energy(b, 0.8) / elapsed if elapsed > 0.0 else 0.0,
+                             charger_population(rho), b.p, purity(rho)))
+        got = np.array([[getattr(r, f) for f in r.__dataclass_fields__] for r in recs])
+        want = np.array(expected)
+        assert (got.view(np.uint64) == want.view(np.uint64)).all()
+        batched = np.stack([cells[f][i] for f in recs[0].__dataclass_fields__], axis=-1)
+        assert (batched.view(np.uint64) == want.view(np.uint64)).all()
