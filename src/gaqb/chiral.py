@@ -134,7 +134,12 @@ def reverse_direction(p: ChiralProtocol) -> ChiralProtocol:
 
 @dataclass(frozen=True)
 class TransferSummary:
-    """Outcome of a pitch-catch run (energies in units of omega0)."""
+    """Outcome of a pitch-catch run.
+
+    Energies are excited-state populations, i.e. in units of the
+    transition frequency; the run starts with one excitation, so
+    ``efficiency`` is the final energy of the receiving atom.
+    """
 
     final_battery_energy: float
     final_charger_energy: float
@@ -157,7 +162,6 @@ def run_transfer(
     p: ChiralProtocol,
     rho0: Optional[np.ndarray] = None,
     grid: Optional[TimeGrid] = None,
-    omega0: float = 1.0,
 ) -> Tuple[ChargingTrajectory, TransferSummary]:
     """Evolve the cascaded master equation and track the leaked excitation.
 
@@ -217,16 +221,15 @@ def run_transfer(
         min_eigenvalue=min_eig,
         step_count=steps,
     )
-    compute_records(out, omega0)
+    compute_records(out)
 
     final = out.states[-1]
-    e_b = omega0 * partial_trace_battery(final).p
-    e_a = omega0 * charger_population(final)
-    stored = e_b if p.direction == RIGHT_TO_BATTERY else e_a
+    e_b = partial_trace_battery(final).p
+    e_a = charger_population(final)
     summary = TransferSummary(
         final_battery_energy=e_b,
         final_charger_energy=e_a,
         leakage=float(aux[-1]),
-        efficiency=stored / omega0,
+        efficiency=e_b if p.direction == RIGHT_TO_BATTERY else e_a,
     )
     return out, summary

@@ -29,7 +29,7 @@ import numpy as np
 
 from .chiral import ChiralProtocol, default_grid, default_stride, run_transfer
 from .geometry import BUILTIN_TOPOLOGIES, CouplingLayout, closed_form_params
-from .integrator import TimeGrid, evolve
+from .integrator import MAX_STEPS, TimeGrid, evolve
 from .liouville import LiouvillianSpec, SimulationError, projector
 from .metrics import compute_records, metric_arrays
 
@@ -48,7 +48,6 @@ class RunConfig:
     topology: str = "braided"
     theta: float = math.pi / 2
     gamma: float = 0.1
-    omega0: float = 1.0
     tmax: float = 100.0
     dt: float = 0.005
     sample_stride: int = 50
@@ -113,16 +112,16 @@ def validate_config(cfg: RunConfig) -> RunConfig:
             raise ConfigError(f"{name} must be finite")
     if cfg.gamma < 0:
         raise ConfigError("gamma must be >= 0")
-    if cfg.omega0 <= 0 or cfg.tmax <= 0 or cfg.dt <= 0:
-        raise ConfigError("omega0, tmax and dt must be positive")
+    if cfg.tmax <= 0 or cfg.dt <= 0:
+        raise ConfigError("tmax and dt must be positive")
     if cfg.sample_stride < 1:
         raise ConfigError("sample_stride must be >= 1")
     try:
         TimeGrid(0.0, cfg.tmax, dt=cfg.dt)  # the step budget
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg.theta_steps < 2:
-        raise ConfigError("theta_steps must be >= 2")
+    if not 2 <= cfg.theta_steps <= MAX_STEPS:
+        raise ConfigError(f"theta_steps must be in [2, {MAX_STEPS}], got {cfg.theta_steps}")
     if not cfg.theta_min < cfg.theta_max:
         raise ConfigError(f"theta_min must be below theta_max, got [{cfg.theta_min}, {cfg.theta_max}]")
     if cfg.workers < 0:
@@ -227,7 +226,7 @@ def charge_trajectory(cfg: RunConfig):
     spec = LiouvillianSpec(closed_form_params(layout))
     grid = TimeGrid(0.0, cfg.tmax, dt=cfg.dt, sample_stride=cfg.sample_stride)
     traj = evolve(spec, projector("eg"), grid)
-    compute_records(traj, cfg.omega0)
+    compute_records(traj)
     return traj
 
 
@@ -244,7 +243,7 @@ def _sweep_shard(args):
     Module-level so worker processes can unpickle it.  Returns an (N,T,6)
     array of (t, E, ergotropy, sigma, power, energy_power) per cell.
     """
-    thetas, topology, gamma, omega0, tmax, dt, stride = args
+    thetas, topology, gamma, tmax, dt, stride = args
     topo = BUILTIN_TOPOLOGIES[topology]
     specs = [LiouvillianSpec(closed_form_params(CouplingLayout(topo, th, gamma)))
              for th in thetas]
@@ -254,7 +253,7 @@ def _sweep_shard(args):
     except SimulationError as exc:
         theta = thetas[getattr(exc, "cell", 0)]
         raise SimulationError(f"sweep cell theta = {theta:.10g} failed: {exc}") from exc
-    m = metric_arrays(traj, omega0)
+    m = metric_arrays(traj)
     return np.stack([m[name] for name in ("t", *_CELL_COLS)], axis=-1)
 
 
@@ -264,20 +263,23 @@ def _sweep_cell(args):
     return _sweep_shard(((theta,), *rest))[0]
 
 
-
 def _parabolic_peak(ts, fs, i):
-    """Vertex of the parabola through three consecutive samples around i."""
+    """Vertex of the parabola through the samples at i - 1, i and i + 1.
+
+    The two spacings may differ: a window's last step can be short.
+    """
     if i == 0 or i == len(fs) - 1:
         return float(ts[i]), float(fs[i])
-    f0, f1, f2 = float(fs[i - 1]), float(fs[i]), float(fs[i + 1])
-    denom = f0 - 2.0 * f1 + f2
-    if denom >= 0.0:  # not locally concave; keep the grid sample
-        return float(ts[i]), float(f1)
-    shift = 0.5 * (f0 - f2) / denom
-    h = float(ts[i + 1] - ts[i])
-    t_peak = float(ts[i]) + shift * h
-    f_peak = f1 - 0.125 * (f0 - f2) ** 2 / denom
-    return t_peak, f_peak
+    t1, f1 = float(ts[i]), float(fs[i])
+    h0, h2 = float(ts[i - 1]) - t1, float(ts[i + 1]) - t1
+    # f = f1 + b u + c u^2 in u = t - t1; s0, s2 are the secant slopes
+    s0 = (float(fs[i - 1]) - f1) / h0
+    s2 = (float(fs[i + 1]) - f1) / h2
+    c = (s0 - s2) / (h0 - h2)
+    if c >= 0.0:  # not locally concave; keep the grid sample
+        return t1, f1
+    b = s0 - c * h0
+    return t1 - 0.5 * b / c, f1 - 0.25 * b * b / c
 
 
 @dataclass
@@ -300,7 +302,7 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
     """
     thetas = _theta_grid(cfg)
     workers = cfg.workers if cfg.workers > 0 else (os.cpu_count() or 1)
-    rest = (cfg.topology, cfg.gamma, cfg.omega0, cfg.tmax, cfg.dt, cfg.sample_stride)
+    rest = (cfg.topology, cfg.gamma, cfg.tmax, cfg.dt, cfg.sample_stride)
     shards = [(tuple(part.tolist()), *rest)
               for part in np.array_split(thetas, min(workers, len(thetas)))]
     if len(shards) == 1:
@@ -320,9 +322,7 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
 
     def dense_cell(theta):
         if theta not in dense_cache:
-            dense_cache[theta] = _sweep_cell(
-                (theta, cfg.topology, cfg.gamma, cfg.omega0, cfg.tmax, cfg.dt, 1)
-            )
+            dense_cache[theta] = _sweep_cell((theta, cfg.topology, cfg.gamma, cfg.tmax, cfg.dt, 1))
         return dense_cache[theta]
 
     for name, col in _CELL_COLS.items():
@@ -369,7 +369,7 @@ def run_chiral(cfg: RunConfig, explicit=()):
             grid = default_grid(protocol, dt=cfg.dt, sample_stride=stride)
     except ValueError as exc:  # a decoupling theta or a window over the step budget
         raise ConfigError(str(exc)) from exc
-    traj, s = run_transfer(protocol, grid=grid, omega0=cfg.omega0)
+    traj, s = run_transfer(protocol, grid=grid)
     rows = [
         (r.t, r.p_a, r.p_b, r.E, r.ergotropy, r.sigma, r.power, r.purity, float(lk))
         for r, lk in zip(traj.records, traj.aux)
@@ -391,47 +391,49 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_shared(p: _Parser):
-    p.add_argument("--config", metavar="PATH", help="key = value config file")
-    p.add_argument("--topology", choices=sorted(BUILTIN_TOPOLOGIES))
-    p.add_argument("--theta", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--omega0", type=float)
-    p.add_argument("--tmax", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--stride", type=int, dest="sample_stride")
-    p.add_argument("--out", metavar="PATH")
-    p.add_argument("--format", choices=("csv", "json"))
+# each flag once, with its add_argument keywords
+_FLAGS = {
+    "--topology": {"choices": sorted(BUILTIN_TOPOLOGIES)},
+    "--theta": {"type": float},
+    "--gamma": {"type": float},
+    "--tmax": {"type": float},
+    "--dt": {"type": float},
+    "--stride": {"type": int, "dest": "sample_stride"},
+    "--theta-min": {"type": float},
+    "--theta-max": {"type": float},
+    "--theta-steps": {"type": int},
+    "--metrics": {},
+    "--workers": {"type": int},
+    "--gamma-max": {"type": float},
+    "--tau-scaled": {"type": float},
+    "--direction": {"choices": ("right", "left")},
+}
+_GRID = ("--theta-min", "--theta-max", "--theta-steps")
+_RUN = ("--tmax", "--dt", "--stride")
+
+# each command accepts --config, --out, --format and the flags it reads
+_COMMANDS = {
+    "params": ("coupling coefficients vs theta", ("--topology", "--gamma", *_GRID)),
+    "charge": ("single charging trajectory", ("--topology", "--theta", "--gamma", *_RUN)),
+    "sweep": ("theta x t metric grid with summary",
+              ("--topology", "--gamma", *_RUN, *_GRID, "--metrics", "--workers")),
+    "chiral": ("pitch-catch transfer run",
+               ("--theta", *_RUN, "--gamma-max", "--tau-scaled", "--direction")),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="gaqb", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("params", help="coupling coefficients vs theta")
-    _add_shared(p)
-    p.add_argument("--theta-min", type=float, dest="theta_min")
-    p.add_argument("--theta-max", type=float, dest="theta_max")
-    p.add_argument("--theta-steps", type=int, dest="theta_steps")
-
-    p = sub.add_parser("charge", help="single charging trajectory")
-    _add_shared(p)
-
-    p = sub.add_parser("sweep", help="theta x t metric grid with summary")
-    _add_shared(p)
-    p.add_argument("--theta-min", type=float, dest="theta_min")
-    p.add_argument("--theta-max", type=float, dest="theta_max")
-    p.add_argument("--theta-steps", type=int, dest="theta_steps")
-    p.add_argument("--metrics")
-    p.add_argument("--workers", type=int)
-
-    p = sub.add_parser("chiral", help="pitch-catch transfer run")
-    _add_shared(p)
-    p.add_argument("--gamma-max", type=float, dest="gamma_max")
-    p.add_argument("--tau-scaled", type=float, dest="tau_scaled")
-    p.add_argument("--direction", choices=("right", "left"))
-
+    for command, (help_text, flags) in _COMMANDS.items():
+        # no prefix matching: chiral's --gamma must not pass for --gamma-max
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        p.add_argument("--config", metavar="PATH", help="key = value config file")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.add_argument("--out", metavar="PATH")
+        p.add_argument("--format", choices=("csv", "json"))
     return parser
 
 

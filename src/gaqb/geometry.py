@@ -168,55 +168,24 @@ def positional_params(layout: CouplingLayout) -> CouplingParams:
     )
 
 
-def _total_decay(topology: Topology, theta: float) -> float:
-    p = closed_form_params(CouplingLayout(topology, theta, 1.0))
-    return p.Gamma_a + p.Gamma_b + abs(p.Gamma_coll)
-
-
-def decoherence_free_phases(
-    topology: Topology,
-    n_grid: int = 10_000,
-    refine_tol: float = 1e-10,
-) -> list[float]:
+def decoherence_free_phases(topology: Topology) -> list[float]:
     """Phases in [0, 2*pi) where all decay rates vanish but g_ab does not.
 
-    Scans the closed forms on a fine grid and refines each candidate by
-    bisecting the (finite-difference) derivative of the total decay; the
-    total decay is nonnegative, so its zeros are tangential minima and a
-    plain sign-change bisection on the function itself would not work.
+    Atom a's decay rate 2 gamma (1 + cos(theta d_a)), with d_a its
+    connection-point spacing, vanishes exactly at theta d_a = (2k+1) pi,
+    so only these candidates (k < d_a; the built-in spacings are
+    integers) can be decoherence-free.  A candidate is kept if the total
+    decay Gamma_a + Gamma_b + |Gamma_coll| vanishes there (to 1e-9) and
+    the exchange coupling survives (|g_ab| > 1e-6).
     """
     if topology.variant == "custom":
-        raise UnsupportedTopologyError("decoherence-free scan needs a built-in topology")
-
-    two_pi = 2.0 * math.pi
-    h = two_pi / n_grid
-    eps = 1e-7  # central-difference half width
-
-    def deriv(th):
-        return (_total_decay(topology, th + eps) - _total_decay(topology, th - eps)) / (2 * eps)
-
-    roots: list[float] = []
-    for i in range(n_grid):
-        lo = i * h
-        hi = lo + h
-        if _total_decay(topology, lo) > 1e-4 and _total_decay(topology, hi) > 1e-4:
-            continue
-        dlo, dhi = deriv(lo), deriv(hi)
-        if dlo > 0.0 or dhi < 0.0:
-            continue
-        # bisect the derivative down to the requested width
-        while hi - lo > refine_tol:
-            mid = 0.5 * (lo + hi)
-            if deriv(mid) <= 0.0:
-                lo = mid
-            else:
-                hi = mid
-        root = 0.5 * (lo + hi) % two_pi
-        if _total_decay(topology, root) > 1e-9:
-            continue
-        params = closed_form_params(CouplingLayout(topology, root, 1.0))
-        if abs(params.g_ab) <= 1e-6:
-            continue
-        if all(abs(root - r) > 1e-6 for r in roots):
-            roots.append(root)
-    return sorted(roots)
+        raise UnsupportedTopologyError("decoherence-free phases need a built-in topology")
+    x_a1, x_a2 = topology.coords[0:2]
+    d_a = abs(x_a2 - x_a1)
+    phases = []
+    for k in range(int(d_a)):
+        theta = (2 * k + 1) * math.pi / d_a
+        p = closed_form_params(CouplingLayout(topology, theta, 1.0))
+        if p.Gamma_a + p.Gamma_b + abs(p.Gamma_coll) <= 1e-9 and abs(p.g_ab) > 1e-6:
+            phases.append(theta)
+    return phases

@@ -29,6 +29,7 @@ from .liouville import (
 
 DEFAULT_DT = 0.005  # resolves the fastest rate scales used here with wide margin
 MAX_STEPS = 10**7  # a window needing more steps is a configuration error, not a long run
+EIG_FLOOR = 1e-6  # a snapshot eigenvalue below -EIG_FLOOR is a positivity failure
 
 
 class PositivityError(SimulationError):
@@ -90,7 +91,7 @@ class ChargingTrajectory:
     records: list = field(default_factory=list)
 
 
-def _check_snapshots(times: np.ndarray, states: np.ndarray, eig_floor: float = 1e-6) -> np.ndarray:
+def _check_snapshots(times: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Per-cell minimum eigenvalue over the snapshots of an (N,T,4,4) stack.
 
     A failure is reported for the lowest-index failing cell at its earliest
@@ -102,7 +103,7 @@ def _check_snapshots(times: np.ndarray, states: np.ndarray, eig_floor: float = 1
     else:
         eigs = np.full(finite.shape, -np.inf)
         eigs[finite] = np.linalg.eigvalsh(states[finite]).min(axis=1)
-    bad = eigs < -eig_floor
+    bad = eigs < -EIG_FLOOR
     if bad.any():
         cell = int(bad.any(axis=1).argmax())
         k = int(bad[cell].argmax())

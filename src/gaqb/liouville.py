@@ -71,30 +71,28 @@ def sigma_minus(which_atom: str) -> np.ndarray:
     raise ValueError(f"which_atom must be 'a' or 'b', got {which_atom!r}")
 
 
-def validate_density_matrix(
-    rho: np.ndarray,
-    herm_tol: float = 1e-10,
-    trace_tol: float = 1e-8,
-    eig_tol: float = 1e-6,
-) -> None:
-    """Check shape, Hermiticity, unit trace and positivity of a state.
+# input-validation tolerances, looser than the construction-level
+# invariants so that integrator drift is tolerated
+HERM_TOL = 1e-10
+TRACE_TOL = 1e-8
+EIG_TOL = 1e-6
 
-    Tolerances default to the input-validation level (looser than the
-    construction-level invariants) so that integrator drift is tolerated.
-    """
+
+def validate_density_matrix(rho: np.ndarray) -> None:
+    """Check shape, Hermiticity, unit trace and positivity of a state."""
     rho = np.asarray(rho)
     if rho.shape != (4, 4):
         raise StateValidationError(f"density matrix must be 4x4, got shape {rho.shape}")
     if not np.isfinite(rho).all():
         raise StateValidationError("density matrix has non-finite entries")
     herm = np.abs(rho - rho.conj().T).max()
-    if herm > herm_tol:
+    if herm > HERM_TOL:
         raise StateValidationError(f"not Hermitian: max|rho - rho^dag| = {herm:.3e}")
     tr = rho.trace()
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise StateValidationError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
     min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
-    if min_eig < -eig_tol:
+    if min_eig < -EIG_TOL:
         raise StateValidationError(f"not positive semidefinite: min eigenvalue {min_eig:.3e}")
 
 

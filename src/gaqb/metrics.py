@@ -1,8 +1,10 @@
 """Battery performance indicators computed from trajectory snapshots.
 
-Energy is Tr[rho_B H_B] with H_B the battery's bare Hamiltonian; ergotropy
-is the energy above the passive state (descending populations paired with
-ascending energy levels).  The fluctuation is the change of the standard
+Energy is Tr[rho_B H_B] with H_B = |e><e| the battery's bare Hamiltonian
+in units of the transition frequency, so the stored energy is the
+excited-state population p and never exceeds 1; ergotropy is the energy
+above the passive state (descending populations paired with ascending
+energy levels).  The fluctuation is the change of the standard
 deviation of H_B relative to the start of charging, and the average power
 divides ergotropy by elapsed time.  Because a two-level battery charged
 through the waveguide from a bare excited charger never develops 0-1
@@ -65,36 +67,33 @@ def charger_state(rho: np.ndarray) -> np.ndarray:
     return rho[0::2, 0::2] + rho[1::2, 1::2]
 
 
-def energy(b: BatteryState, omega0: float = 1.0) -> float:
-    """Stored energy Tr[rho_B H_B] = omega0 * p."""
-    return omega0 * b.p
+def energy(b: BatteryState) -> float:
+    """Stored energy Tr[rho_B H_B] = p."""
+    return b.p
 
 
-def ergotropy(b: BatteryState, omega0: float = 1.0) -> float:
+def ergotropy(b: BatteryState) -> float:
     """Maximal unitarily extractable work, via the passive state (eigen path)."""
     evals = np.linalg.eigvalsh(0.5 * (b.rho + b.rho.conj().T))  # ascending
-    # descending populations paired with ascending levels (0, omega0)
-    passive = float(evals[0]) * omega0
-    value = omega0 * b.p - passive
-    return max(0.0, value)
+    # descending populations paired with ascending levels (0, 1)
+    return max(0.0, b.p - float(evals[0]))
 
 
-def ergotropy_closed_form(b: BatteryState, omega0: float = 1.0) -> float:
-    """Qubit closed form omega0 (p - 1/2 + sqrt((p - 1/2)^2 + |c|^2))."""
+def ergotropy_closed_form(b: BatteryState) -> float:
+    """Qubit closed form p - 1/2 + sqrt((p - 1/2)^2 + |c|^2)."""
     half = b.p - 0.5
-    return max(0.0, omega0 * (half + math.sqrt(half * half + abs(b.c) ** 2)))
+    return max(0.0, half + math.sqrt(half * half + abs(b.c) ** 2))
 
 
-def fluctuation(b_t: BatteryState, b_0: BatteryState, omega0: float = 1.0) -> float:
+def fluctuation(b_t: BatteryState, b_0: BatteryState) -> float:
     """Change of the H_B standard deviation between start and time t.
 
     May be negative if the initial state had the larger variance.
     """
 
     def std(b):
-        h1 = omega0 * b.p                 # <H_B>
-        h2 = omega0 * omega0 * b.p        # <H_B^2>; H_B^2 = omega0 * H_B for a qubit
-        return math.sqrt(max(0.0, h2 - h1 * h1))
+        # <H_B> = <H_B^2> = p, since H_B^2 = H_B for a qubit
+        return math.sqrt(max(0.0, b.p - b.p * b.p))
 
     return std(b_t) - std(b_0)
 
@@ -112,7 +111,7 @@ def purity(rho: np.ndarray) -> float:
     return float(np.trace(rho @ rho).real)
 
 
-def metric_arrays(traj: ChargingTrajectory, omega0: float = 1.0) -> dict:
+def metric_arrays(traj: ChargingTrajectory) -> dict:
     """Every :class:`MetricsRecord` field as an array over the snapshots.
 
     Works on (T,4,4) and batched (N,T,4,4) states alike; each entry has
@@ -123,29 +122,28 @@ def metric_arrays(traj: ChargingTrajectory, omega0: float = 1.0) -> dict:
     times = np.broadcast_to(traj.times, states.shape[:-2])
     rb = states[..., 0:2, 0:2] + states[..., 2:4, 2:4]
     p = rb[..., 1, 1].real
-    E = omega0 * p
-    passive = np.linalg.eigvalsh(0.5 * (rb + rb.conj().swapaxes(-1, -2)))[..., 0] * omega0
-    value = omega0 * p - passive
+    passive = np.linalg.eigvalsh(0.5 * (rb + rb.conj().swapaxes(-1, -2)))[..., 0]
+    value = p - passive
     erg = np.where(value > 0.0, value, 0.0)
-    var = omega0 * omega0 * p - E * E
+    var = p - p * p
     std = np.sqrt(np.where(var > 0.0, var, 0.0))
     elapsed = times - traj.times[0]
     return {
         "t": times,
-        "E": E,
+        "E": p,
         "ergotropy": erg,
         "sigma": std - std[..., :1],
-        "power": np.divide(erg, elapsed, out=np.zeros_like(E), where=elapsed != 0.0),
-        "energy_power": np.divide(E, elapsed, out=np.zeros_like(E), where=elapsed > 0.0),
+        "power": np.divide(erg, elapsed, out=np.zeros_like(p), where=elapsed != 0.0),
+        "energy_power": np.divide(p, elapsed, out=np.zeros_like(p), where=elapsed > 0.0),
         "p_a": states[..., 2, 2].real + states[..., 3, 3].real,
         "p_b": p,
         "purity": np.trace(states @ states, axis1=-2, axis2=-1).real,
     }
 
 
-def compute_records(traj: ChargingTrajectory, omega0: float = 1.0) -> list[MetricsRecord]:
+def compute_records(traj: ChargingTrajectory) -> list[MetricsRecord]:
     """Fill traj.records with per-snapshot MetricsRecord entries."""
-    cols = metric_arrays(traj, omega0)
+    cols = metric_arrays(traj)
     fields = MetricsRecord.__dataclass_fields__
     records = [MetricsRecord(*row) for row in zip(*(cols[f].tolist() for f in fields))]
     traj.records = records

@@ -37,7 +37,7 @@ def report(tag, ok, detail):
 def dense_cell(topology, theta, gamma=0.1, tmax=100.0, dt=0.04):
     """Every-step metric table at one phase: columns
     (t, E, ergotropy, sigma, power, energy_power)."""
-    return _sweep_cell((theta, topology, gamma, 1.0, tmax, dt, 1))
+    return _sweep_cell((theta, topology, gamma, tmax, dt, 1))
 
 
 def refined_max(cell, col):
@@ -55,7 +55,7 @@ def test_c01_decoherence_free_charging_matches_rabi():
         projector("eg"),
         TimeGrid(0.0, 100.0, dt=0.005, sample_stride=50),
     )
-    recs = compute_records(traj, 1.0)
+    recs = compute_records(traj)
     pb = np.array([r.p_b for r in recs])
     rabi_err = np.abs(pb - np.sin(0.1 * traj.times) ** 2).max()
     purity_err = np.abs(np.array([r.purity for r in recs]) - 1.0).max()
@@ -158,7 +158,7 @@ def test_c06_separated_pi_frozen_dynamics():
         projector("eg"),
         TimeGrid(0.0, 50.0, dt=0.005, sample_stride=500),
     )
-    recs = compute_records(traj, 1.0)
+    recs = compute_records(traj)
     frozen = all(np.array_equal(s, traj.states[0]) for s in traj.states)
     metrics_zero = all(
         r.E == 0.0 and r.ergotropy == 0.0 and r.sigma == 0.0 and r.power == 0.0
@@ -273,8 +273,7 @@ def test_c12_chiral_reversal(chiral_forward):
 def test_c13_power_scales_linearly_in_gamma():
     ratios = {}
     for gamma in (0.1, 0.01, 0.001):
-        cell = _sweep_cell((math.pi / 2, "braided", gamma, 1.0, 2.5 / gamma,
-                            0.0005 / gamma, 1))
+        cell = _sweep_cell((math.pi / 2, "braided", gamma, 2.5 / gamma, 0.0005 / gamma, 1))
         ratios[gamma] = refined_max(cell, 4) / gamma
     values = list(ratios.values())
     spread = (max(values) - min(values)) / min(values)

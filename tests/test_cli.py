@@ -91,6 +91,9 @@ def test_validation_errors():
         merge_config(None, {"tmax": 1.0, "dt": 1e-300})
     with pytest.raises(ConfigError, match="theta_min must be below theta_max"):
         merge_config(None, {"theta_min": 1.0, "theta_max": 0.0})
+    # rejected before the theta grid is allocated
+    with pytest.raises(ConfigError, match="theta_steps"):
+        merge_config(None, {"theta_steps": 10**13})
 
 
 # --- commands end to end -----------------------------------------------------
@@ -227,6 +230,12 @@ def test_exit_code_usage_errors(capsys):
     # same step budget
     assert main(["chiral", "--tau-scaled", "1e9", "--dt", "0.01"]) == 1
     assert "gaqb: error: dt = 0.01 needs 3e+12 steps" in capsys.readouterr().err
+    # each command takes only the flags it reads, spelled out in full
+    for args in (["charge", "--omega0", "2"], ["chiral", "--topology", "nested"],
+                 ["chiral", "--gamma", "0.1"], ["params", "--tmax", "5"],
+                 ["sweep", "--theta", "1"]):
+        assert main(args) == 1
+        assert f"unrecognized arguments: {' '.join(args[1:])}" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -252,7 +261,7 @@ def test_sweep_cells_bit_identical_in_any_shard(workers):
     res = run_sweep(cfg)
     assert len(res.cells) == 4
     for th, cell in zip(res.thetas, res.cells):
-        alone = _sweep_cell((float(th), "nested", cfg.gamma, 1.0, cfg.tmax, cfg.dt, 5))
+        alone = _sweep_cell((float(th), "nested", cfg.gamma, cfg.tmax, cfg.dt, 5))
         assert alone.shape == cell.shape
         assert (alone.view(np.uint64) == cell.view(np.uint64)).all()
 
@@ -279,3 +288,11 @@ def test_run_sweep_refinement_close_to_analytic():
     res = run_sweep(cfg)
     assert res.summary["max_sigma"] == pytest.approx(0.5, abs=1e-5)
     assert res.summary["max_E"] == pytest.approx(1.0, abs=1e-5)
+
+    # the dense rerun ends in a 0.45 step after 31 steps of 0.5, next to
+    # the peak at t = 5 pi: the parabola must use both spacings
+    cfg = RunConfig(theta_min=math.pi / 2, theta_max=1.58, theta_steps=2, tmax=15.95,
+                    dt=0.5, sample_stride=1, workers=1)
+    res = run_sweep(cfg)
+    assert res.summary["max_E"] <= 1.0
+    assert abs(res.summary["argmax_E_t"] - 5 * math.pi) < 1e-4

@@ -108,10 +108,8 @@ def test_all_zero_at_pi(topo):
 
 
 def test_decoherence_free_phases():
-    braided = decoherence_free_phases(BRAIDED)
-    assert len(braided) == 2
-    assert braided[0] == pytest.approx(math.pi / 2, abs=1e-9)
-    assert braided[1] == pytest.approx(3 * math.pi / 2, abs=1e-9)
+    # exact: the candidates are (2k+1) pi / d_a, not a refined scan
+    assert decoherence_free_phases(BRAIDED) == [math.pi / 2, 3 * math.pi / 2]
     assert decoherence_free_phases(SEPARATED) == []
     assert decoherence_free_phases(NESTED) == []
 

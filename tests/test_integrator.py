@@ -244,7 +244,7 @@ def test_grid_validation():
 
 def test_records_attached_by_metrics():
     traj = evolve(spec_for(math.pi / 2), EG, TimeGrid(0.0, 10.0, dt=0.02, sample_stride=50))
-    recs = compute_records(traj, 1.0)
+    recs = compute_records(traj)
     assert traj.records is recs
     assert len(recs) == len(traj.times)
     assert recs[0].p_a == pytest.approx(1.0)

@@ -77,7 +77,6 @@ def test_partial_trace_keeps_coherence():
 
 def test_energy_endpoints():
     assert energy(battery(0.0)) == 0.0
-    assert energy(battery(1.0), omega0=2.0) == 2.0
     assert energy(battery(0.25)) == pytest.approx(0.25)
 
 
@@ -133,7 +132,7 @@ def test_records_single_excitation_runs_stay_diagonal():
     # so the ergotropy reduces to max(0, 2 p - 1).
     spec = LiouvillianSpec(closed_form_params(CouplingLayout(BRAIDED, 0.9, 0.1)))
     traj = evolve(spec, projector("eg"), TimeGrid(0.0, 60.0, dt=0.02, sample_stride=60))
-    recs = compute_records(traj, 1.0)
+    recs = compute_records(traj)
     for rho, rec in zip(traj.states, recs):
         b = partial_trace_battery(rho)
         assert abs(b.c) <= 1e-10
@@ -145,7 +144,7 @@ def test_records_single_excitation_runs_stay_diagonal():
 def test_records_power_at_origin_is_zero():
     spec = LiouvillianSpec(closed_form_params(CouplingLayout(BRAIDED, math.pi / 2, 0.1)))
     traj = evolve(spec, projector("eg"), TimeGrid(0.0, 1.0, dt=0.01, sample_stride=100))
-    recs = compute_records(traj, 1.0)
+    recs = compute_records(traj)
     assert recs[0].t == 0.0
     assert recs[0].power == 0.0 and recs[0].energy_power == 0.0
 
@@ -157,19 +156,19 @@ def test_metric_arrays_match_per_state_functions_bitwise():
              for th in (0.4, math.pi / 2, 2.2)]
     grid = TimeGrid(0.0, 30.0, dt=0.05, sample_stride=7)
     batch = evolve(specs, projector("eg"), grid)
-    cells = metric_arrays(batch, 0.8)
+    cells = metric_arrays(batch)
     for i, spec in enumerate(specs):
         traj = evolve(spec, projector("eg"), grid)
-        recs = compute_records(traj, 0.8)
+        recs = compute_records(traj)
         b0 = partial_trace_battery(traj.states[0])
         expected = []
         for t, rho in zip(traj.times, traj.states):
             b = partial_trace_battery(rho)
-            erg = ergotropy(b, 0.8)
+            erg = ergotropy(b)
             elapsed = t - traj.times[0]
-            expected.append((float(t), energy(b, 0.8), erg, fluctuation(b, b0, 0.8),
+            expected.append((float(t), energy(b), erg, fluctuation(b, b0),
                              average_power(erg, elapsed),
-                             energy(b, 0.8) / elapsed if elapsed > 0.0 else 0.0,
+                             energy(b) / elapsed if elapsed > 0.0 else 0.0,
                              charger_population(rho), b.p, purity(rho)))
         got = np.array([[getattr(r, f) for f in r.__dataclass_fields__] for r in recs])
         want = np.array(expected)
