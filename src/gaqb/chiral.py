@@ -36,7 +36,7 @@ from .liouville import (
     jump_operator,
     projector,
 )
-from .metrics import compute_records, partial_trace_battery, charger_population
+from .metrics import compute_records
 
 RIGHT_TO_BATTERY = "right"
 LEFT_TO_CHARGER = "left"
@@ -152,10 +152,10 @@ def default_stride(t_end: float, dt: float) -> int:
     return max(1, round(t_end / dt / 600))
 
 
-def default_grid(p: ChiralProtocol, dt: float = 0.005, sample_stride: int = 0) -> TimeGrid:
-    """Window [0, 3 tau]; a stride of 0 picks :func:`default_stride`."""
+def default_grid(p: ChiralProtocol, dt: float = 0.005) -> TimeGrid:
+    """Window [0, 3 tau] with the stride of :func:`default_stride`."""
     t_end = 3.0 * p.tau
-    return TimeGrid(0.0, t_end, dt=dt, sample_stride=sample_stride or default_stride(t_end, dt))
+    return TimeGrid(0.0, t_end, dt=dt, sample_stride=default_stride(t_end, dt))
 
 
 def run_transfer(
@@ -181,55 +181,33 @@ def run_transfer(
         L = jump_operator(spec.params_at(t), spec.dissipator_kind)
         return float(np.trace(L.conj().T @ L @ rho).real)
 
+    edges = [grid.t_start, *([p.tau] if grid.t_start < p.tau < grid.t_end else []), grid.t_end]
     pieces = []
-    if grid.t_start < p.tau < grid.t_end:
-        pieces.append((grid.t_start, p.tau))
-        pieces.append((p.tau, grid.t_end))
-    else:
-        pieces.append((grid.t_start, grid.t_end))
-
-    times = None
-    states = None
-    aux = None
-    drift = 0.0
-    min_eig = 1.0
-    steps = 0
-    rho = rho0
-    acc = 0.0
-    for t0, t1 in pieces:
+    rho, acc = rho0, 0.0
+    for t0, t1 in zip(edges, edges[1:]):
         # step size adjusted per piece so the boundary is hit exactly
         n = max(1, round((t1 - t0) / grid.dt))
         piece_grid = TimeGrid(t0, t1, dt=(t1 - t0) / n, sample_stride=grid.sample_stride)
-        traj = evolve(spec, rho, piece_grid, aux=leak_rate, aux0=acc)
-        rho = traj.states[-1]
-        acc = float(traj.aux[-1])
-        drift = max(drift, traj.max_trace_drift)
-        min_eig = min(min_eig, traj.min_eigenvalue)
-        steps += traj.step_count
-        if times is None:
-            times, states, aux = traj.times, traj.states, traj.aux
-        else:
-            times = np.concatenate([times, traj.times[1:]])
-            states = np.concatenate([states, traj.states[1:]])
-            aux = np.concatenate([aux, traj.aux[1:]])
+        pieces.append(evolve(spec, rho, piece_grid, aux=leak_rate, aux0=acc))
+        rho, acc = pieces[-1].states[-1], float(pieces[-1].aux[-1])
+
+    def joined(name):
+        # each later piece starts at the snapshot its predecessor ended on
+        return np.concatenate([getattr(q, name)[int(i > 0):] for i, q in enumerate(pieces)])
 
     out = ChargingTrajectory(
-        times=times,
-        states=states,
-        aux=aux,
-        max_trace_drift=drift,
-        min_eigenvalue=min_eig,
-        step_count=steps,
+        times=joined("times"),
+        states=joined("states"),
+        aux=joined("aux"),
+        max_trace_drift=max(q.max_trace_drift for q in pieces),
+        min_eigenvalue=min(q.min_eigenvalue for q in pieces),
+        step_count=sum(q.step_count for q in pieces),
     )
-    compute_records(out)
-
-    final = out.states[-1]
-    e_b = partial_trace_battery(final).p
-    e_a = charger_population(final)
+    last = compute_records(out)[-1]
     summary = TransferSummary(
-        final_battery_energy=e_b,
-        final_charger_energy=e_a,
-        leakage=float(aux[-1]),
-        efficiency=e_b if p.direction == RIGHT_TO_BATTERY else e_a,
+        final_battery_energy=last.p_b,
+        final_charger_energy=last.p_a,
+        leakage=acc,
+        efficiency=last.p_b if p.direction == RIGHT_TO_BATTERY else last.p_a,
     )
     return out, summary

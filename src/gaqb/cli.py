@@ -22,12 +22,13 @@ import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from operator import attrgetter
 from typing import Optional, get_type_hints
 
 import numpy as np
 
-from .chiral import ChiralProtocol, default_grid, default_stride, run_transfer
+from .chiral import ChiralProtocol, default_stride, run_transfer
 from .geometry import BUILTIN_TOPOLOGIES, CouplingLayout, closed_form_params
 from .integrator import MAX_STEPS, TimeGrid, evolve
 from .liouville import LiouvillianSpec, SimulationError, projector
@@ -189,7 +190,13 @@ def _emit(cfg: RunConfig, header, rows, summary: Optional[dict] = None):
             write_json(stream, header, rows, summary)
 
     if cfg.out is None:
-        write(sys.stdout)
+        try:
+            write(sys.stdout)
+            sys.stdout.flush()
+        except OSError as exc:  # e.g. a closed pipe
+            # the interpreter's final flush of stdout must not fail again
+            sys.stdout = open(os.devnull, "w", encoding="utf-8")
+            raise ConfigError(f"cannot write stdout: {exc.strerror or exc}")
         return
     try:
         with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -218,6 +225,7 @@ def run_params(cfg: RunConfig):
 
 
 CHARGE_HEADER = ("t", "p_a", "p_b", "E", "ergotropy", "sigma", "power", "purity")
+_charge_row = attrgetter(*CHARGE_HEADER)  # a MetricsRecord's CHARGE_HEADER values
 
 
 def charge_trajectory(cfg: RunConfig):
@@ -232,9 +240,7 @@ def charge_trajectory(cfg: RunConfig):
 
 def run_charge(cfg: RunConfig):
     traj = charge_trajectory(cfg)
-    rows = [(r.t, r.p_a, r.p_b, r.E, r.ergotropy, r.sigma, r.power, r.purity)
-            for r in traj.records]
-    return CHARGE_HEADER, rows
+    return CHARGE_HEADER, [_charge_row(r) for r in traj.records]
 
 
 def _sweep_shard(args):
@@ -285,7 +291,7 @@ def _parabolic_peak(ts, fs, i):
 @dataclass
 class SweepResult:
     thetas: np.ndarray
-    cells: list  # per-theta arrays of (t, E, ergotropy, sigma, power, energy_power)
+    cells: np.ndarray  # (N,T,6): (t, E, ergotropy, sigma, power, energy_power) per theta
     summary: dict
 
 
@@ -298,7 +304,9 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
     split.  The summary holds, for each metric, the grid maximum refined
     by a dense (every-step) rerun at the best theta followed by
     three-point parabolic interpolation, and also the largest
-    end-of-window battery energy (steady storage level).
+    end-of-window battery energy (steady storage level).  A tie between
+    thetas goes to the first, so a metric that is 0 everywhere (ergotropy
+    and power in the nested layout) reports ``theta_min``.
     """
     thetas = _theta_grid(cfg)
     workers = cfg.workers if cfg.workers > 0 else (os.cpu_count() or 1)
@@ -315,36 +323,25 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
         with ProcessPoolExecutor(max_workers=len(shards) - 1, mp_context=ctx) as pool:
             others = pool.map(_sweep_shard, shards[1:])
             tables = [_sweep_shard(shards[0]), *others]
-    cells = [cell for table in tables for cell in table]
+    cells = np.concatenate(tables)
 
+    # np.argmax takes the first of equal maxima
+    best = {name: float(thetas[np.argmax(cells[:, :, col].max(axis=1))])
+            for name, col in _CELL_COLS.items()}
+    dense = {th: _sweep_cell((th, cfg.topology, cfg.gamma, cfg.tmax, cfg.dt, 1))
+             for th in dict.fromkeys(best.values())}
     summary: dict = {}
-    dense_cache: dict = {}
-
-    def dense_cell(theta):
-        if theta not in dense_cache:
-            dense_cache[theta] = _sweep_cell((theta, cfg.topology, cfg.gamma, cfg.tmax, cfg.dt, 1))
-        return dense_cache[theta]
-
     for name, col in _CELL_COLS.items():
-        best_v, best_th, best_t = -math.inf, 0.0, 0.0
-        for th, cell in zip(thetas, cells):
-            i = int(np.argmax(cell[:, col]))
-            if cell[i, col] > best_v:
-                best_v, best_th, best_t = float(cell[i, col]), float(th), float(cell[i, 0])
-        dense = dense_cell(best_th)
-        j = int(np.argmax(dense[:, col]))
-        t_peak, f_peak = _parabolic_peak(dense[:, 0], dense[:, col], j)
+        cell = dense[best[name]]
+        t_peak, f_peak = _parabolic_peak(cell[:, 0], cell[:, col], int(np.argmax(cell[:, col])))
         summary[f"max_{name}"] = f_peak
-        summary[f"argmax_{name}_theta"] = best_th
+        summary[f"argmax_{name}_theta"] = best[name]
         summary[f"argmax_{name}_t"] = t_peak
 
     # steady storage level: battery energy at the end of the window
-    end_v, end_th = -math.inf, 0.0
-    for th, cell in zip(thetas, cells):
-        if cell[-1, 1] > end_v:
-            end_v, end_th = float(cell[-1, 1]), float(th)
-    summary["max_E_end"] = end_v
-    summary["argmax_E_end_theta"] = end_th
+    end = int(np.argmax(cells[:, -1, 1]))
+    summary["max_E_end"] = float(cells[end, -1, 1])
+    summary["argmax_E_end_theta"] = float(thetas[end])
     return SweepResult(thetas=thetas, cells=cells, summary=summary)
 
 
@@ -354,7 +351,6 @@ def run_chiral(cfg: RunConfig, explicit=()):
     Only an explicit window or stride replaces the protocol's defaults
     (3 tau and about 600 snapshots).
     """
-    stride = cfg.sample_stride if "sample_stride" in explicit else 0
     try:
         protocol = ChiralProtocol(
             gamma_max=cfg.gamma_max,
@@ -362,25 +358,15 @@ def run_chiral(cfg: RunConfig, explicit=()):
             theta=cfg.theta,
             direction=cfg.direction,
         )
-        if "tmax" in explicit:
-            grid = TimeGrid(0.0, cfg.tmax, dt=cfg.dt,
-                            sample_stride=stride or default_stride(cfg.tmax, cfg.dt))
-        else:
-            grid = default_grid(protocol, dt=cfg.dt, sample_stride=stride)
+        window = cfg.tmax if "tmax" in explicit else 3.0 * protocol.tau
+        stride = (cfg.sample_stride if "sample_stride" in explicit
+                  else default_stride(window, cfg.dt))
+        grid = TimeGrid(0.0, window, dt=cfg.dt, sample_stride=stride)
     except ValueError as exc:  # a decoupling theta or a window over the step budget
         raise ConfigError(str(exc)) from exc
     traj, s = run_transfer(protocol, grid=grid)
-    rows = [
-        (r.t, r.p_a, r.p_b, r.E, r.ergotropy, r.sigma, r.power, r.purity, float(lk))
-        for r, lk in zip(traj.records, traj.aux)
-    ]
-    summary = {
-        "final_battery_energy": s.final_battery_energy,
-        "final_charger_energy": s.final_charger_energy,
-        "leakage": s.leakage,
-        "efficiency": s.efficiency,
-    }
-    return CHARGE_HEADER + ("leakage",), rows, summary
+    rows = [(*_charge_row(r), lk) for r, lk in zip(traj.records, traj.aux.tolist())]
+    return CHARGE_HEADER + ("leakage",), rows, asdict(s)
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +439,9 @@ def main(argv=None) -> int:
             chosen = [m.strip() for m in cfg.metrics.split(",")]
             header = ("theta", "t") + tuple(chosen)
             cols = [0] + [_CELL_COLS[m] for m in chosen]
-            rows = np.concatenate([
-                np.column_stack([np.full(len(cell), th), cell[:, cols]])
-                for th, cell in zip(result.thetas, result.cells)
-            ])
+            n, t = result.cells.shape[:2]
+            rows = np.column_stack([np.repeat(result.thetas, t),
+                                    result.cells[:, :, cols].reshape(n * t, len(cols))])
             _emit(cfg, header, rows, result.summary)
         else:
             header, rows, summary = run_chiral(cfg, explicit)

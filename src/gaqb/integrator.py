@@ -176,34 +176,24 @@ def evolve(
     rem = span - n_full * grid.dt
     if rem < 1e-12 * max(1.0, abs(grid.t_end)):
         rem = 0.0
-    # every stride-th full step, except a last one that lands on t_end
-    n_snap = 2 + len(range(grid.sample_stride, n_full + (rem > 0.0), grid.sample_stride))
-    times = np.empty(n_snap)
-    states = np.empty((n_cells, n_snap, 4, 4), dtype=complex)
-    aux_vals = np.empty(n_snap) if aux is not None else None
-    k = 0
-
-    def record(t, rho):
-        nonlocal k
-        times[k] = t
-        states[:, k] = rho
-        if aux_vals is not None:
-            aux_vals[k] = acc
-        k += 1
-
-    record(grid.t_start, rho)
-    t = grid.t_start
+    n_steps = n_full + (rem > 0.0)
+    # snapshot after these steps: every stride-th, and the last one on t_end
+    snaps = [0, *range(grid.sample_stride, n_steps, grid.sample_stride), n_steps]
+    times = grid.t_start + np.array(snaps) * grid.dt
+    times[-1] = grid.t_end
+    states = np.empty((n_cells, len(snaps), 4, 4), dtype=complex)
+    aux_vals = np.empty(len(snaps))
+    states[:, 0], aux_vals[0] = rho, acc
+    k = 1
     # a cell that blows up keeps stepping quietly; the snapshot check names it
     with np.errstate(all="ignore"):
-        for i in range(n_full):
-            rho = rk4_step(t, rho, grid.dt)
-            t = grid.t_start + (i + 1) * grid.dt
-            is_last = i + 1 == n_full and rem == 0.0
-            if (i + 1) % grid.sample_stride == 0 and not is_last:
-                record(t, rho)
-        if rem > 0.0:
-            rho = rk4_step(t, rho, rem)
-    record(grid.t_end, rho)
+        for i in range(n_steps):
+            rho = rk4_step(grid.t_start + i * grid.dt, rho, grid.dt if i < n_full else rem)
+            if i + 1 == snaps[k]:
+                states[:, k], aux_vals[k] = rho, acc
+                k += 1
+    # a window too short for any step still ends in a snapshot
+    states[:, -1], aux_vals[-1] = rho, acc
 
     min_eig = _check_snapshots(times, states)
     if single:
@@ -211,10 +201,10 @@ def evolve(
     return ChargingTrajectory(
         times=times,
         states=states,
-        aux=aux_vals,
+        aux=aux_vals if aux is not None else None,
         max_trace_drift=drift_max,
         min_eigenvalue=min_eig,
-        step_count=n_full + int(rem > 0.0),
+        step_count=n_steps,
     )
 
 

@@ -1,5 +1,8 @@
+import io
 import json
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -220,6 +223,19 @@ def test_out_into_missing_directory(tmp_path, capsys):
     assert f"gaqb: error: cannot write {path}: " in capsys.readouterr().err
 
 
+def test_broken_stdout_pipe(monkeypatch, capsys):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["params", "--theta-steps", "3"]) == 1
+    # stdout now points at the null device, so the final flush cannot fail
+    assert sys.stdout.name == os.devnull
+    sys.stdout.close()
+    assert capsys.readouterr().err == "gaqb: error: cannot write stdout: Broken pipe\n"
+
+
 def test_exit_code_usage_errors(capsys):
     assert main(["charge", "--topology", "toroidal"]) == 1
     assert main(["sweep", "--theta-steps", "1"]) == 1
@@ -264,6 +280,17 @@ def test_sweep_cells_bit_identical_in_any_shard(workers):
         alone = _sweep_cell((float(th), "nested", cfg.gamma, cfg.tmax, cfg.dt, 5))
         assert alone.shape == cell.shape
         assert (alone.view(np.uint64) == cell.view(np.uint64)).all()
+
+
+def test_sweep_ties_go_to_first_theta():
+    # ergotropy and power are exactly 0 on every nested cell
+    cfg = RunConfig(topology="nested", theta_min=0.3, theta_max=5.0, theta_steps=4,
+                    tmax=6.0, dt=0.04, sample_stride=5, workers=1)
+    summary = run_sweep(cfg).summary
+    for name in ("ergotropy", "power"):
+        assert summary[f"max_{name}"] == 0.0
+        assert summary[f"argmax_{name}_theta"] == 0.3
+        assert summary[f"argmax_{name}_t"] == 0.0
 
 
 def test_config_file_drives_run(tmp_path):

@@ -71,6 +71,21 @@ def test_snapshot_times_and_first_state():
     np.testing.assert_array_equal(traj.states[0], EG)
 
 
+@pytest.mark.parametrize("t_end, dt, stride, times, steps", [
+    (1.0, 0.25, 2, [0.0, 0.5, 1.0], 4),
+    (1.1, 0.25, 2, [0.0, 0.5, 1.0, 1.1], 5),  # the short last step is not a stride step
+    (1.0, 0.3, 10, [0.0, 1.0], 4),
+    (1e-13, 0.01, 1, [0.0, 1e-13], 0),  # below the remainder floor: no step at all
+])
+def test_snapshot_schedule(t_end, dt, stride, times, steps):
+    traj = evolve(spec_for(0.7), EG, TimeGrid(0.0, t_end, dt=dt, sample_stride=stride))
+    assert traj.times.tolist() == times
+    assert traj.step_count == steps
+    if steps == 0:
+        for state in traj.states:
+            assert (state.view(np.uint64) == np.asarray(EG, dtype=complex).view(np.uint64)).all()
+
+
 def test_purity_and_excitation_conserved_at_df_point():
     traj = evolve(spec_for(math.pi / 2), EG, TimeGrid(0.0, 100.0, dt=0.02, sample_stride=50))
     for rho in traj.states:
