@@ -162,8 +162,9 @@ def _fmt(x) -> str:
 
 def write_csv(stream, header, rows, summary_lines=()):
     stream.write(",".join(header) + "\n")
+    row_fmt = ",".join(["%.17g"] * len(header)) + "\n"  # _fmt's format
     for row in rows:
-        stream.write(",".join(_fmt(v) for v in row) + "\n")
+        stream.write(row_fmt % tuple(row))
     for line in summary_lines:
         stream.write("# " + line + "\n")
 
@@ -243,11 +244,12 @@ def run_charge(cfg: RunConfig):
     return CHARGE_HEADER, [_charge_row(r) for r in traj.records]
 
 
-def _sweep_shard(args):
+def _sweep_cell(args):
     """Metric tables of a run of theta cells, integrated as one batch.
 
     Module-level so worker processes can unpickle it.  Returns an (N,T,6)
-    array of (t, E, ergotropy, sigma, power, energy_power) per cell.
+    array of (t, E, ergotropy, sigma, power, energy_power) per cell; a
+    cell's table has the same bits alone or in any batch.
     """
     thetas, topology, gamma, tmax, dt, stride = args
     topo = BUILTIN_TOPOLOGIES[topology]
@@ -261,12 +263,6 @@ def _sweep_shard(args):
         raise SimulationError(f"sweep cell theta = {theta:.10g} failed: {exc}") from exc
     m = metric_arrays(traj)
     return np.stack([m[name] for name in ("t", *_CELL_COLS)], axis=-1)
-
-
-def _sweep_cell(args):
-    """One theta cell: a batch of one, with the bits it has inside any batch."""
-    theta, *rest = args
-    return _sweep_shard(((theta,), *rest))[0]
 
 
 def _parabolic_peak(ts, fs, i):
@@ -300,10 +296,11 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
 
     The theta grid is split into ``min(workers, theta_steps)`` contiguous
     shards, each integrated as one batch; shards beyond the first run on a
-    spawn pool.  The output ordering is theta-major and identical for any
-    split.  The summary holds, for each metric, the grid maximum refined
-    by a dense (every-step) rerun at the best theta followed by
-    three-point parabolic interpolation, and also the largest
+    spawn pool of at most one process per processor.  The output ordering
+    is theta-major and identical for any split.  The summary holds, for
+    each metric, the grid maximum refined by a dense (every-step) rerun at
+    the best theta followed by three-point parabolic interpolation (the
+    distinct best thetas rerun as one batch), and also the largest
     end-of-window battery energy (steady storage level).  A tie between
     thetas goes to the first, so a metric that is 0 everywhere (ergotropy
     and power in the nested layout) reports ``theta_min``.
@@ -314,22 +311,24 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
     shards = [(tuple(part.tolist()), *rest)
               for part in np.array_split(thetas, min(workers, len(thetas)))]
     if len(shards) == 1:
-        tables = [_sweep_shard(shards[0])]
+        tables = [_sweep_cell(shards[0])]
     else:
         # spawned workers start from clean interpreters; forking a process
         # whose BLAS thread pool is mid-operation can deadlock the children.
-        # This process runs the first shard while the pool runs the others.
+        # This process runs the first shard while the pool runs the others;
+        # surplus shards queue for a process rather than each starting one.
         ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=len(shards) - 1, mp_context=ctx) as pool:
-            others = pool.map(_sweep_shard, shards[1:])
-            tables = [_sweep_shard(shards[0]), *others]
+        procs = min(len(shards) - 1, os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=procs, mp_context=ctx) as pool:
+            others = pool.map(_sweep_cell, shards[1:])
+            tables = [_sweep_cell(shards[0]), *others]
     cells = np.concatenate(tables)
 
     # np.argmax takes the first of equal maxima
     best = {name: float(thetas[np.argmax(cells[:, :, col].max(axis=1))])
             for name, col in _CELL_COLS.items()}
-    dense = {th: _sweep_cell((th, cfg.topology, cfg.gamma, cfg.tmax, cfg.dt, 1))
-             for th in dict.fromkeys(best.values())}
+    reruns = tuple(dict.fromkeys(best.values()))
+    dense = dict(zip(reruns, _sweep_cell((reruns, cfg.topology, cfg.gamma, cfg.tmax, cfg.dt, 1))))
     summary: dict = {}
     for name, col in _CELL_COLS.items():
         cell = dense[best[name]]

@@ -215,23 +215,24 @@ def make_generator(
         return _cascaded_generator(spec)
 
     Kd = K.conj().swapaxes(-1, -2)
-    sa, sb = SIGMA_MINUS_A, SIGMA_MINUS_B
-    sad, sbd = SIGMA_PLUS_A, SIGMA_PLUS_B
-    # each term from sa @ rho and sb @ rho, computed once per call
-    terms = (
-        lambda a, b: a @ sad,
-        lambda a, b: b @ sbd,
-        lambda a, b: a @ sbd + b @ sad,
-    )
-    jumps = [(g, np.not_equal(g, 0.0), term) for g, term in zip(rates, terms)
+    # each atom's (ground, excited) rows of rho in the index 2 n_a + n_b:
+    # sigma^- moves the excited rows onto the ground rows, so each jump term
+    # is a block copy.  Its matmul form multiplies only by 0 and 1 and sums
+    # at most one nonzero product, so the copies give the same bits (up to
+    # the sign of a zero).  The K products stay matmuls: reordering them
+    # (einsum, say) changes the rounding.
+    a, b = (slice(0, 2), slice(2, 4)), (slice(0, None, 2), slice(1, None, 2))
+    jumps = [(g, np.not_equal(g, 0.0), xy) for g, xy in zip(rates, ((a, a), (b, b), (a, b)))
              if np.any(g != 0.0)]
 
     def rhs_const(t, rho):
         out = K @ rho + rho @ Kd
-        if jumps:
-            a, b = sa @ rho, sb @ rho
-            for g, nonzero, term in jumps:
-                np.add(out, g * term(a, b), out=out, where=nonzero)
+        for g, nonzero, (x, y) in jumps:  # g sigma_x^- rho sigma_y^+ (+ the x <-> y term)
+            term = np.zeros_like(rho)
+            term[..., x[0], y[0]] = rho[..., x[1], y[1]]
+            if x is not y:  # Gamma_coll's two blocks share (0,0): rho_21 + rho_12
+                term[..., y[0], x[0]] += rho[..., y[1], x[1]]
+            np.add(out, g * term, out=out, where=nonzero)
         return out
 
     return rhs_const

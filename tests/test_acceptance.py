@@ -37,7 +37,7 @@ def report(tag, ok, detail):
 def dense_cell(topology, theta, gamma=0.1, tmax=100.0, dt=0.04):
     """Every-step metric table at one phase: columns
     (t, E, ergotropy, sigma, power, energy_power)."""
-    return _sweep_cell((theta, topology, gamma, tmax, dt, 1))
+    return _sweep_cell(((theta,), topology, gamma, tmax, dt, 1))[0]
 
 
 def refined_max(cell, col):
@@ -273,7 +273,7 @@ def test_c12_chiral_reversal(chiral_forward):
 def test_c13_power_scales_linearly_in_gamma():
     ratios = {}
     for gamma in (0.1, 0.01, 0.001):
-        cell = _sweep_cell((math.pi / 2, "braided", gamma, 2.5 / gamma, 0.0005 / gamma, 1))
+        cell = _sweep_cell(((math.pi / 2,), "braided", gamma, 2.5 / gamma, 0.0005 / gamma, 1))[0]
         ratios[gamma] = refined_max(cell, 4) / gamma
     values = list(ratios.values())
     spread = (max(values) - min(values)) / min(values)

@@ -3,11 +3,14 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import gaqb.cli
 from gaqb.cli import (
+    _CELL_COLS,
     CHARGE_HEADER,
     PARAMS_HEADER,
     ConfigError,
@@ -17,6 +20,9 @@ from gaqb.cli import (
     merge_config,
     read_config_file,
     run_sweep,
+    write_csv,
+    _fmt,
+    _parabolic_peak,
     _sweep_cell,
 )
 
@@ -133,6 +139,18 @@ def test_params_to_stdout(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == ",".join(PARAMS_HEADER)
     assert len(lines) == 4
+
+
+def test_write_csv_matches_per_value_format():
+    rng = np.random.default_rng(7)
+    edge = [0.0, -0.0, 5e-324, -5e-324, 1e22, 1.0 / 3.0, math.pi, 1e-310, -1e300, 2.0**53 + 1]
+    scaled = rng.normal(size=(20, 6)) * 10.0 ** rng.integers(-30, 30, size=(20, 6))
+    table = np.vstack([np.reshape(edge * 3, (5, 6)), scaled])
+    for rows in (table, [tuple(r) for r in table.tolist()]):
+        out = io.StringIO()
+        write_csv(out, ("a", "b", "c", "d", "e", "f"), rows, ["k = v"])
+        want = "".join(",".join(_fmt(v) for v in row) + "\n" for row in table)
+        assert out.getvalue() == "a,b,c,d,e,f\n" + want + "# k = v\n"
 
 
 def test_charge_command_columns_and_determinism(tmp_path):
@@ -277,7 +295,7 @@ def test_sweep_cells_bit_identical_in_any_shard(workers):
     res = run_sweep(cfg)
     assert len(res.cells) == 4
     for th, cell in zip(res.thetas, res.cells):
-        alone = _sweep_cell((float(th), "nested", cfg.gamma, cfg.tmax, cfg.dt, 5))
+        alone = _sweep_cell(((float(th),), "nested", cfg.gamma, cfg.tmax, cfg.dt, 5))[0]
         assert alone.shape == cell.shape
         assert (alone.view(np.uint64) == cell.view(np.uint64)).all()
 
@@ -291,6 +309,84 @@ def test_sweep_ties_go_to_first_theta():
         assert summary[f"max_{name}"] == 0.0
         assert summary[f"argmax_{name}_theta"] == 0.3
         assert summary[f"argmax_{name}_t"] == 0.0
+
+
+def test_pool_processes_capped_by_processor_count(monkeypatch):
+    class RecordingPool:
+        """Runs the mapped shards in this process and records its size."""
+
+        def __init__(self, max_workers, mp_context):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, shards):
+            shards = list(shards)
+            mapped.append(len(shards))
+            return [fn(shard) for shard in shards]
+
+    sizes, mapped = [], []
+    monkeypatch.setattr(gaqb.cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    cfg = RunConfig(topology="braided", theta_max=3.0, theta_steps=9, tmax=2.0, dt=0.05,
+                    sample_stride=10)
+    serial = run_sweep(replace(cfg, workers=1))
+    assert sizes == mapped == []
+    for workers, procs, shards in ((10000, 3, 9), (4, 3, 4), (2, 1, 2), (0, 2, 3)):
+        res = run_sweep(replace(cfg, workers=workers))
+        assert (sizes.pop(), mapped.pop()) == (procs, shards - 1)
+        assert (res.cells.view(np.uint64) == serial.cells.view(np.uint64)).all()
+        assert res.summary == serial.summary
+
+
+def test_dense_reruns_batched_bitwise():
+    # nested: ergotropy and power are 0 everywhere, so they pick theta_min
+    # while E and sigma pick another theta; one batch reruns both
+    cfg = RunConfig(topology="nested", theta_min=0.3, theta_max=5.0, theta_steps=5,
+                    tmax=10.0, dt=0.04, sample_stride=5, workers=1)
+    summary = run_sweep(cfg).summary
+    best = {name: summary[f"argmax_{name}_theta"] for name in _CELL_COLS}
+    assert len(set(best.values())) >= 2
+    for name, col in _CELL_COLS.items():
+        cell = _sweep_cell(((best[name],), "nested", cfg.gamma, cfg.tmax, cfg.dt, 1))[0]
+        t, f = _parabolic_peak(cell[:, 0], cell[:, col], int(np.argmax(cell[:, col])))
+        assert summary[f"max_{name}"].hex() == f.hex()
+        assert summary[f"argmax_{name}_t"].hex() == t.hex()
+
+
+# recorded before the jump terms became block copies; the E and sigma
+# maxima of the mirror cells 8 and 42 differ by one ulp, so a change of
+# rounding in the rhs moves their argmax_*_theta to the mirror phase
+NESTED_SHORT_SUMMARY = {
+    "max_E": "0x1.50de8fd6d1672p-2",
+    "argmax_E_theta": "0x1.015bf9217271ap+0",
+    "argmax_E_t": "0x1.c0a557388adefp+2",
+    "max_ergotropy": "0x0.0p+0",
+    "argmax_ergotropy_theta": "0x0.0p+0",
+    "argmax_ergotropy_t": "0x0.0p+0",
+    "max_sigma": "0x1.e11ddf3827987p-2",
+    "argmax_sigma_theta": "0x1.015bf9217271ap+0",
+    "argmax_sigma_t": "0x1.c0a558f0590c4p+2",
+    "max_power": "0x0.0p+0",
+    "argmax_power_theta": "0x0.0p+0",
+    "argmax_power_t": "0x0.0p+0",
+    "max_energy_power": "0x1.d9c3d1f5beb8cp-5",
+    "argmax_energy_power_theta": "0x1.015bf9217271ap+0",
+    "argmax_energy_power_t": "0x1.14b87a1cf5709p+2",
+    "max_E_end": "0x1.ffa8134294b7ep-3",
+    "argmax_E_end_theta": "0x0.0p+0",
+}
+
+
+def test_nested_sweep_summary_recorded_bits():
+    cfg = RunConfig(topology="nested", theta_steps=51, tmax=20.0, dt=0.04, sample_stride=5,
+                    workers=1)
+    summary = run_sweep(cfg).summary
+    assert {k: v.hex() for k, v in summary.items()} == NESTED_SHORT_SUMMARY
 
 
 def test_config_file_drives_run(tmp_path):

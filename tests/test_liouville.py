@@ -5,9 +5,15 @@ import pytest
 
 from conftest import random_density
 from gaqb.chiral import ChiralProtocol, chiral_coupling_params
-from gaqb.geometry import BRAIDED, NESTED, SEPARATED, CouplingLayout, closed_form_params
+from gaqb.geometry import (
+    BRAIDED, NESTED, SEPARATED, CouplingLayout, CouplingParams, closed_form_params,
+)
 from gaqb.liouville import (
     BIDIRECTIONAL,
+    SIGMA_MINUS_A,
+    SIGMA_MINUS_B,
+    SIGMA_PLUS_A,
+    SIGMA_PLUS_B,
     CASCADED_LEFT,
     CASCADED_RIGHT,
     LiouvillianSpec,
@@ -21,6 +27,7 @@ from gaqb.liouville import (
     rhs,
     sigma_minus,
     validate_density_matrix,
+    _bidirectional_parts,
 )
 
 RNG = np.random.default_rng(20240817)
@@ -201,6 +208,46 @@ def test_rhs_no_excitation_raising(spec):
         rho[2, 1] += np.conj(c)
         out = rhs(spec, 0.0, rho)
         assert abs(out[3, 3]) <= 1e-12
+
+
+def matmul_generator(specs):
+    """The jump terms as stacked matmuls, in the order make_generator adds them."""
+    parts = [_bidirectional_parts(s) for s in specs]
+    K = np.stack([k for k, _ in parts])
+    Kd = K.conj().swapaxes(-1, -2)
+    rates = np.array([r for _, r in parts]).T[:, :, None, None]
+    sa, sb, sad, sbd = SIGMA_MINUS_A, SIGMA_MINUS_B, SIGMA_PLUS_A, SIGMA_PLUS_B
+
+    def gen(rho):
+        out = K @ rho + rho @ Kd
+        a, b = sa @ rho, sb @ rho
+        for g, term in zip(rates, (a @ sad, b @ sbd, a @ sbd + b @ sad)):
+            if np.any(g != 0.0):
+                np.add(out, g * term, out=out, where=g != 0.0)
+        return out
+
+    return gen
+
+
+def test_generator_bits_match_matmul_form():
+    # cell i drops rate i (Gamma_a, Gamma_b, Gamma_coll); Lamb shifts and
+    # Gamma_coll take both signs
+    specs = []
+    for i in range(12):
+        lamb = RNG.normal(size=2)
+        rates = RNG.uniform(0.01, 1.0, size=3) * (1.0, 1.0, RNG.choice((-1.0, 1.0)))
+        if i < 3:
+            rates[i] = 0.0
+        specs.append(LiouvillianSpec(CouplingParams(*lamb, RNG.normal(), *rates)))
+    only_coherent = [LiouvillianSpec(CouplingParams(-0.3, 0.2, 0.5, 0.0, 0.0, 0.0))]
+    for batch in (specs, specs[:1], specs[1:2], specs[2:3], only_coherent):
+        gen, ref = make_generator(batch), matmul_generator(batch)
+        for _ in range(5):
+            rho = RNG.normal(size=(len(batch), 4, 4)) + 1j * RNG.normal(size=(len(batch), 4, 4))
+            want = ref(rho).view(np.uint64)
+            assert (gen(0.0, rho).view(np.uint64) == want).all()
+            alone = make_generator(batch[-1])(0.0, rho[-1])  # the single-spec 4x4 path
+            assert (alone.view(np.uint64) == want[-1]).all()
 
 
 def test_rhs_linearity():
