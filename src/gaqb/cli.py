@@ -294,9 +294,9 @@ class SweepResult:
 def run_sweep(cfg: RunConfig) -> SweepResult:
     """Charging metrics over the theta grid, plus refined global maxima.
 
-    The theta grid is split into ``min(workers, theta_steps)`` contiguous
-    shards, each integrated as one batch; shards beyond the first run on a
-    spawn pool of at most one process per processor.  The output ordering
+    The theta grid is split into ``min(workers, theta_steps, processors)``
+    contiguous shards, each integrated as one batch; shards beyond the
+    first run on a spawn pool, one process each.  The output ordering
     is theta-major and identical for any split.  The summary holds, for
     each metric, the grid maximum refined by a dense (every-step) rerun at
     the best theta followed by three-point parabolic interpolation (the
@@ -306,20 +306,18 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
     and power in the nested layout) reports ``theta_min``.
     """
     thetas = _theta_grid(cfg)
-    workers = cfg.workers if cfg.workers > 0 else (os.cpu_count() or 1)
+    cpus = os.cpu_count() or 1
     rest = (cfg.topology, cfg.gamma, cfg.tmax, cfg.dt, cfg.sample_stride)
     shards = [(tuple(part.tolist()), *rest)
-              for part in np.array_split(thetas, min(workers, len(thetas)))]
+              for part in np.array_split(thetas, min(cfg.workers or cpus, len(thetas), cpus))]
     if len(shards) == 1:
         tables = [_sweep_cell(shards[0])]
     else:
         # spawned workers start from clean interpreters; forking a process
         # whose BLAS thread pool is mid-operation can deadlock the children.
-        # This process runs the first shard while the pool runs the others;
-        # surplus shards queue for a process rather than each starting one.
+        # This process runs the first shard while the pool runs the others.
         ctx = multiprocessing.get_context("spawn")
-        procs = min(len(shards) - 1, os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=procs, mp_context=ctx) as pool:
+        with ProcessPoolExecutor(max_workers=len(shards) - 1, mp_context=ctx) as pool:
             others = pool.map(_sweep_cell, shards[1:])
             tables = [_sweep_cell(shards[0]), *others]
     cells = np.concatenate(tables)

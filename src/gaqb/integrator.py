@@ -8,9 +8,10 @@ as one (N,4,4) stack, with the same operations per cell, so batching never
 changes a cell's bits.  Snapshots are checked for finiteness and
 positivity once, after the run.
 
-An optional scalar integrand (used for leakage bookkeeping in the chiral
-protocol) is advanced through the same Runge-Kutta stages as the state, so
-it inherits the integrator's order.
+A cascaded spec is integrated in Liouville space: the state is vec(rho)
+plus the emitted excitation as a 17th component, and each step is one
+matvec with that step's RK4 map, built in batches of :data:`CHUNK` steps
+from the generators at the stage times.
 """
 from __future__ import annotations
 
@@ -21,8 +22,10 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .liouville import (
+    BIDIRECTIONAL,
     LiouvillianSpec,
     SimulationError,
+    cascaded_generators,
     make_generator,
     validate_density_matrix,
 )
@@ -30,6 +33,7 @@ from .liouville import (
 DEFAULT_DT = 0.005  # resolves the fastest rate scales used here with wide margin
 MAX_STEPS = 10**7  # a window needing more steps is a configuration error, not a long run
 EIG_FLOOR = 1e-6  # a snapshot eigenvalue below -EIG_FLOOR is a positivity failure
+CHUNK = 32  # cascaded steps whose RK4 maps are built at once: a (32,17,17) stack, 148 kB
 
 
 class PositivityError(SimulationError):
@@ -77,9 +81,10 @@ class ChargingTrajectory:
 
     ``states`` is (T,4,4) for a single spec and (N,T,4,4) for a batch of
     N specs, whose ``max_trace_drift`` and ``min_eigenvalue`` are then
-    per-cell arrays.  ``aux`` holds the co-integrated scalar (e.g.
-    accumulated leakage) at the snapshot times; ``records`` is filled by
-    the metrics module.
+    per-cell arrays.  ``aux`` holds the co-integrated scalar at the
+    snapshot times: the integrated emitted flux for a cascaded spec, or
+    the integral of an ``aux`` callback; ``records`` is filled by the
+    metrics module.
     """
 
     times: np.ndarray
@@ -118,33 +123,15 @@ def _check_snapshots(times: np.ndarray, states: np.ndarray) -> np.ndarray:
     return eigs.min(axis=1)
 
 
-def evolve(
-    spec: Union[LiouvillianSpec, Sequence[LiouvillianSpec]],
-    rho0: np.ndarray,
-    grid: TimeGrid,
-    aux: Optional[Callable[[float, np.ndarray], float]] = None,
-    aux0: float = 0.0,
-) -> ChargingTrajectory:
-    """Integrate the master equation over the grid.
+def _march_stack(gen, rho, aux, aux0, grid, n_full, rem, snaps):
+    """RK4 on an (N,4,4) stack of states under the rhs ``gen``.
 
-    ``spec`` is one spec, or a sequence of N time-independent bidirectional
-    specs integrated as one (N,4,4) stack from the common ``rho0``; every
-    cell of the stack gets the bits it would get alone.  ``aux`` needs a
-    single spec.
-
-    Raises :class:`PositivityError` if any recorded state has an eigenvalue
-    below -1e-6 and :class:`DivergenceError` on non-finite values; both
-    errors name the failing time.
+    ``aux``, if given, is integrated through the same stages from ``aux0``.
+    Returns the (N,T,4,4) snapshots, the (T,) aux values and the per-cell
+    maximum trace drift.
     """
-    single = isinstance(spec, LiouvillianSpec)
-    n_cells = 1 if single else len(spec)
-    if aux is not None and not single:
-        raise ValueError("aux needs a single spec")
-    validate_density_matrix(rho0)
-    rho = np.repeat(np.array(rho0, dtype=complex)[None], n_cells, axis=0)
-    gen = make_generator(spec)
     acc = aux0
-    drift_max = np.zeros(n_cells)
+    drift_max = np.zeros(len(rho))
 
     def rk4_step(t, rho, h):
         """One RK4 step, then re-Hermitization and trace renormalization."""
@@ -171,6 +158,105 @@ def evolve(
             np.divide(rho, trace[:, None, None], out=rho, where=renorm[:, None, None])
         return rho
 
+    states = np.empty((len(rho), len(snaps), 4, 4), dtype=complex)
+    aux_vals = np.empty(len(snaps))
+    states[:, 0], aux_vals[0] = rho, acc
+    k = 1
+    for i in range(snaps[-1]):
+        rho = rk4_step(grid.t_start + i * grid.dt, rho, grid.dt if i < n_full else rem)
+        if i + 1 == snaps[k]:
+            states[:, k], aux_vals[k] = rho, acc
+            k += 1
+    # a window too short for any step still ends in a snapshot
+    states[:, -1], aux_vals[-1] = rho, acc
+    return states, aux_vals, drift_max
+
+
+_HERMITIAN_PARTNER = np.arange(16).reshape(4, 4).T.ravel()  # vec index of rho[j, i]
+
+
+def _stage(L, A, c):
+    """L (I + c A), formed in place: temporaries of a chunk's size are slow to allocate."""
+    out = L @ A
+    out *= c
+    out += L
+    return out
+
+
+def _march_cascaded(spec, rho0, aux0, grid, n_full, rem, snaps):
+    """RK4 on (vec(rho), emitted flux) for a cascaded spec, one matvec per step.
+
+    The maps of CHUNK steps at a time are built from the generators at the
+    stage times t, t + h/2 and t + h:  A2 = L2 (I + h/2 L1),
+    A3 = L2 (I + h/2 A2), A4 = L4 (I + h A3) and
+    M = I + h/6 (L1 + 2 A2 + 2 A3 + A4), which is the classical RK4 step.
+    After each step the state is re-Hermitized and renormalized as in
+    :func:`_march_stack`; the flux component is left as it is.  Returns
+    what :func:`_march_stack` returns, for a stack of one.
+    """
+    v = np.append(np.asarray(rho0, dtype=complex).ravel(), aux0)
+    out = np.empty((len(snaps), 17), dtype=complex)
+    out[0] = v
+    eye = np.eye(17)
+    drift_max, k = 0.0, 1
+    for start in range(0, snaps[-1], CHUNK):
+        i = np.arange(start, min(start + CHUNK, snaps[-1]))
+        t = grid.t_start + i * grid.dt
+        h = np.where(i < n_full, grid.dt, rem)
+        L1, L2, L4 = cascaded_generators(spec, np.stack([t, t + 0.5 * h, t + h]))
+        h = h[:, None, None]
+        A2 = _stage(L2, L1, 0.5 * h)
+        A3 = _stage(L2, A2, 0.5 * h)
+        A4 = _stage(L4, A3, h)
+        maps = A2  # I + h/6 (L1 + 2 A2 + 2 A3 + A4), built in place
+        maps += A3
+        maps *= 2.0
+        maps += L1
+        maps += A4
+        maps *= h / 6.0
+        maps += eye
+        for step, m in enumerate(maps, start + 1):
+            v = m @ v
+            rho = v[:16]  # a view into v
+            rho += rho[_HERMITIAN_PARTNER].conj()
+            rho *= 0.5
+            trace = sum(rho.real[::5].tolist())
+            drift = abs(trace - 1.0)
+            drift_max = max(drift_max, drift)
+            if drift > 1e-12:
+                rho /= trace
+            if step == snaps[k]:
+                out[k] = v
+                k += 1
+    out[-1] = v
+    return out[None, :, :16].reshape(1, -1, 4, 4), out[:, 16].real, np.array([drift_max])
+
+
+def evolve(
+    spec: Union[LiouvillianSpec, Sequence[LiouvillianSpec]],
+    rho0: np.ndarray,
+    grid: TimeGrid,
+    aux: Optional[Callable[[float, np.ndarray], float]] = None,
+    aux0: float = 0.0,
+) -> ChargingTrajectory:
+    """Integrate the master equation over the grid.
+
+    ``spec`` is one spec, or a sequence of N time-independent bidirectional
+    specs integrated as one (N,4,4) stack from the common ``rho0``; every
+    cell of the stack gets the bits it would get alone.  ``aux`` needs a
+    single bidirectional spec; a cascaded spec integrates its emitted flux
+    Tr[L^dag L rho] into ``aux``, starting from ``aux0``.
+
+    Raises :class:`PositivityError` if any recorded state has an eigenvalue
+    below -1e-6 and :class:`DivergenceError` on non-finite values; both
+    errors name the failing time.
+    """
+    single = isinstance(spec, LiouvillianSpec)
+    cascaded = single and spec.dissipator_kind != BIDIRECTIONAL
+    if aux is not None and (cascaded or not single):
+        raise ValueError("aux needs a single spec of the bidirectional kind")
+    validate_density_matrix(rho0)
+
     span = grid.t_end - grid.t_start
     n_full = int(math.floor(span / grid.dt + 1e-9))
     rem = span - n_full * grid.dt
@@ -181,19 +267,14 @@ def evolve(
     snaps = [0, *range(grid.sample_stride, n_steps, grid.sample_stride), n_steps]
     times = grid.t_start + np.array(snaps) * grid.dt
     times[-1] = grid.t_end
-    states = np.empty((n_cells, len(snaps), 4, 4), dtype=complex)
-    aux_vals = np.empty(len(snaps))
-    states[:, 0], aux_vals[0] = rho, acc
-    k = 1
-    # a cell that blows up keeps stepping quietly; the snapshot check names it
+    # a state that blows up keeps stepping quietly; the snapshot check names it
     with np.errstate(all="ignore"):
-        for i in range(n_steps):
-            rho = rk4_step(grid.t_start + i * grid.dt, rho, grid.dt if i < n_full else rem)
-            if i + 1 == snaps[k]:
-                states[:, k], aux_vals[k] = rho, acc
-                k += 1
-    # a window too short for any step still ends in a snapshot
-    states[:, -1], aux_vals[-1] = rho, acc
+        if cascaded:
+            states, aux_vals, drift_max = _march_cascaded(spec, rho0, aux0, grid, n_full, rem, snaps)
+        else:
+            rho = np.repeat(np.array(rho0, dtype=complex)[None], 1 if single else len(spec), axis=0)
+            states, aux_vals, drift_max = _march_stack(
+                make_generator(spec), rho, aux, aux0, grid, n_full, rem, snaps)
 
     min_eig = _check_snapshots(times, states)
     if single:
@@ -201,7 +282,7 @@ def evolve(
     return ChargingTrajectory(
         times=times,
         states=states,
-        aux=aux_vals if aux is not None else None,
+        aux=aux_vals if cascaded or aux is not None else None,
         max_trace_drift=drift_max,
         min_eigenvalue=min_eig,
         step_count=n_steps,

@@ -12,7 +12,9 @@ Two dissipator structures are supported: the bidirectional generator
 cascaded chiral generator (a single right- or left-passing collective jump
 operator, with the matching anti-Hermitian exchange term in the
 Hamiltonian).  The bare transition frequency is rotated away; only the
-Lamb shifts appear in the coherent part.
+Lamb shifts appear in the coherent part.  The cascaded generator is built
+in Liouville space, from six fixed superoperators on row-major vec(rho)
+with the emitted flux as a 17th row.
 """
 from __future__ import annotations
 
@@ -178,6 +180,58 @@ def effective_hamiltonian(spec: LiouvillianSpec, t: float = 0.0) -> np.ndarray:
     return H + sign * abs(p.g_ab) * EXCHANGE_CHIRAL
 
 
+_UNITS = np.eye(16, dtype=complex).reshape(16, 4, 4)  # |i><j| at row-major index 4 i + j
+
+
+def _superoperator(action: Callable[[np.ndarray], np.ndarray], flux=None) -> np.ndarray:
+    """17x17 matrix of a linear map on rho, acting on row-major vec(rho).
+
+    Row 16 is Tr[flux rho] (zero without ``flux``); column 16 is zero, so
+    the 17th component only integrates that trace.
+    """
+    out = np.zeros((17, 17), dtype=complex)
+    out[:16, :16] = np.stack([action(u).ravel() for u in _UNITS], axis=1)
+    if flux is not None:
+        out[16, :16] = flux.T.ravel()
+    return out
+
+
+def _commutator(H: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    return lambda rho: -1j * (H @ rho - rho @ H)
+
+
+# the cascaded generator is sum_k c_k B_k with coefficients
+# (kappa_a, kappa_b, sqrt(kappa_a kappa_b), delta_a, delta_b, +/-|g_ab|):
+# D[L] = kappa_a D[sigma_a] + kappa_b D[sigma_b] + sqrt(kappa_a kappa_b) D[sigma_a, sigma_b]
+# for L = i (sqrt(kappa_a) sigma_a^- + sqrt(kappa_b) sigma_b^-), and the
+# flux row Tr[L^dag L rho] splits the same way
+_CASCADED_BASIS = np.stack([
+    _superoperator(lambda rho: dissipator(SIGMA_MINUS_A, rho), NUMBER_A),
+    _superoperator(lambda rho: dissipator(SIGMA_MINUS_B, rho), NUMBER_B),
+    _superoperator(lambda rho: cross_dissipator(SIGMA_MINUS_A, SIGMA_MINUS_B, rho), EXCHANGE),
+    _superoperator(_commutator(NUMBER_A)),
+    _superoperator(_commutator(NUMBER_B)),
+    _superoperator(_commutator(EXCHANGE_CHIRAL)),
+]).reshape(6, 17 * 17)
+
+
+def cascaded_generators(spec: LiouvillianSpec, times) -> np.ndarray:
+    """Generators of a cascaded spec at each of an array of times, (..., 17, 17).
+
+    The 16x16 block maps row-major vec(rho) to vec(-i[H, rho] + D[L] rho);
+    row 16 is the emitted flux Tr[L^dag L rho].  All times are built as
+    one matmul of their six coefficients with the fixed basis.
+    """
+    p = spec.params_at(times)
+    ka = 0.5 * np.maximum(p.Gamma_a, 0.0)
+    kb = 0.5 * np.maximum(p.Gamma_b, 0.0)
+    sign = 1.0 if spec.dissipator_kind == CASCADED_RIGHT else -1.0
+    coeffs = np.empty((*np.shape(times), 6))
+    for k, c in enumerate((ka, kb, np.sqrt(ka * kb), p.delta_a, p.delta_b, sign * np.abs(p.g_ab))):
+        coeffs[..., k] = c
+    return (coeffs @ _CASCADED_BASIS).reshape(*coeffs.shape[:-1], 17, 17)
+
+
 def _bidirectional_parts(spec: LiouvillianSpec):
     """K = -iH - 1/2 (Gamma_a n_a + Gamma_b n_b + Gamma_coll X) and the three jump rates."""
     p = spec.params_at(0.0)
@@ -193,9 +247,11 @@ def make_generator(
 ) -> Callable[[float, np.ndarray], np.ndarray]:
     """Compile the spec into a fast rhs closure (no per-call validation).
 
-    The returned function computes drho/dt = K rho + rho K^dag + jumps,
-    where K folds the Hamiltonian and the anticommutator halves together.
-    It maps a 4x4 state, or an (N,4,4) stack, to its derivative.
+    For a bidirectional spec the returned function computes
+    drho/dt = K rho + rho K^dag + jumps, where K folds the Hamiltonian and
+    the anticommutator halves together; for a cascaded spec it applies the
+    state block of :func:`cascaded_generators` to vec(rho).  It maps a 4x4
+    state, or an (N,4,4) stack, to its derivative.
 
     ``spec`` may also be a sequence of N bidirectional specs; the closure
     then advances an (N,4,4) stack, cell i under spec i.  Each cell sees
@@ -212,7 +268,11 @@ def make_generator(
     elif spec.dissipator_kind == BIDIRECTIONAL:
         K, rates = _bidirectional_parts(spec)
     else:
-        return _cascaded_generator(spec)
+        def rhs_cascaded(t, rho):
+            G = cascaded_generators(spec, t)[:16, :16]
+            return (rho.reshape(*rho.shape[:-2], 16) @ G.T).reshape(rho.shape)
+
+        return rhs_cascaded
 
     Kd = K.conj().swapaxes(-1, -2)
     # each atom's (ground, excited) rows of rho in the index 2 n_a + n_b:
@@ -236,29 +296,6 @@ def make_generator(
         return out
 
     return rhs_const
-
-
-def _cascaded_generator(spec: LiouvillianSpec) -> Callable[[float, np.ndarray], np.ndarray]:
-    sign = 1.0 if spec.dissipator_kind == CASCADED_RIGHT else -1.0
-    sa, sb = SIGMA_MINUS_A, SIGMA_MINUS_B
-
-    def rhs_cascaded(t, rho):
-        p = spec.params_at(t)
-        ka = 0.5 * max(p.Gamma_a, 0.0)
-        kb = 0.5 * max(p.Gamma_b, 0.0)
-        root = np.sqrt(ka * kb)
-        # K = -iH - 1/2 L^dag L assembled from the four constant operators;
-        # L^dag L = ka NUMBER_A + kb NUMBER_B + root EXCHANGE
-        K = (
-            (-1j * p.delta_a - 0.5 * ka) * NUMBER_A
-            + (-1j * p.delta_b - 0.5 * kb) * NUMBER_B
-            + (-1j * sign * abs(p.g_ab)) * EXCHANGE_CHIRAL
-            + (-0.5 * root) * EXCHANGE
-        )
-        L = 1j * (np.sqrt(ka) * sa + np.sqrt(kb) * sb)
-        return K @ rho + rho @ K.conj().T + L @ rho @ L.conj().T
-
-    return rhs_cascaded
 
 
 def rhs(spec: LiouvillianSpec, t: float, rho: np.ndarray) -> np.ndarray:

@@ -247,12 +247,12 @@ def test_c11_chiral_transfer(chiral_forward):
     ok = (
         s.final_battery_energy >= 0.99
         and s.leakage <= 0.01
-        and book <= 1e-6
+        and book <= 1e-12
         and unidir <= 1e-9
     )
     report("C11 chiral pitch-catch", ok,
            f"final E_b = {s.final_battery_energy:.6f} (>=0.99), leakage = {s.leakage:.2e} "
-           f"(<=0.01), bookkeeping dev = {book:.2e} (<=1e-6), "
+           f"(<=0.01), bookkeeping dev = {book:.2e} (<=1e-12), "
            f"charger-marginal invariance = {unidir:.2e} (<=1e-9)")
 
 

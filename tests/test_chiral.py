@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gaqb.chiral import (
+    RIGHT_TO_BATTERY,
     ChiralProtocol,
     chiral_coupling_params,
     chiral_spec,
@@ -60,6 +61,35 @@ def test_rates_swap_under_reversal():
         ga, gb = pitch_catch_rates(t, PROTO)
         ga_r, gb_r = pitch_catch_rates(t, rev)
         assert (ga_r, gb_r) == (gb, ga)
+
+
+def scalar_rate_profile(t, gamma_max, tau):
+    """The profile's scalar formula, evaluated with the math module."""
+    if t < tau:
+        x = math.exp(gamma_max * (t - tau))
+        return gamma_max * x / (2.0 - x)
+    return gamma_max
+
+
+@pytest.mark.parametrize("proto", [PROTO, reverse_direction(PROTO),
+                                   ChiralProtocol(gamma_max=GMAX, tau=TAU, theta=1.2),
+                                   ChiralProtocol(gamma_max=10 * GMAX, tau=TAU)])
+def test_array_params_match_scalar_calls(proto):
+    # the array runs to 10 tau, where Gamma_max (t - tau) reaches 900 on the
+    # last protocol: the capped exponent must not overflow (the suite turns
+    # any warning into an error)
+    ts = np.concatenate([np.linspace(0.0, 10 * TAU, 1001), [TAU - 1e-9, 2 * TAU + 1e-9]])
+    arr = chiral_coupling_params(ts, proto)
+    for i, t in enumerate(ts.tolist()):
+        one = chiral_coupling_params(t, proto)
+        for name in ("delta_a", "delta_b", "g_ab", "Gamma_a", "Gamma_b"):
+            assert getattr(arr, name)[i] == getattr(one, name)
+        pitch = 2.0 * scalar_rate_profile(t, proto.gamma_max, proto.tau)
+        catch = 2.0 * scalar_rate_profile(2.0 * proto.tau - t, proto.gamma_max, proto.tau)
+        if proto.direction != RIGHT_TO_BATTERY:
+            pitch, catch = catch, pitch
+        assert (one.Gamma_a, one.Gamma_b) == (pitch, catch)
+    assert arr.Gamma_coll == 0.0
 
 
 def test_left_decoupling_phases():
@@ -123,7 +153,21 @@ def test_transfer_is_nearly_lossless():
     assert s.leakage <= 0.01
     assert s.efficiency == pytest.approx(s.final_battery_energy)
     book = np.array([r.p_a + r.p_b for r in traj.records]) + traj.aux
-    assert np.abs(book - 1.0).max() <= 1e-6
+    assert np.abs(book - 1.0).max() <= 1e-12
+
+
+def test_transfer_summary_matches_recorded_values():
+    # recorded from the per-stage 4x4 integrator with a co-integrated leak
+    # callback, which the Liouville-space march replaced
+    _, s = run_transfer(PROTO, grid=FAST_GRID)
+    recorded = {
+        "final_battery_energy": "0x1.fffd06486b1e2p-1",
+        "final_charger_energy": "0x1.1b4a0ad74fab5p-30",
+        "leakage": "0x1.7cd75d49a6241p-16",
+        "efficiency": "0x1.fffd06486b1e2p-1",
+    }
+    for name, value in recorded.items():
+        assert getattr(s, name) == pytest.approx(float.fromhex(value), abs=1e-12)
 
 
 def test_transfer_energy_stays_put_after_catch():
@@ -141,12 +185,7 @@ def test_catch_disabled_loses_everything():
         return CouplingParams(0.0, 0.0, 0.0, 2.0 * f, 0.0, 0.0)
 
     spec = LiouvillianSpec(params, dissipator_kind=CASCADED_RIGHT)
-
-    def leak(t, rho):
-        L = jump_operator(params(t), CASCADED_RIGHT)
-        return float(np.trace(L.conj().T @ L @ rho).real)
-
-    traj = evolve(spec, projector("eg"), FAST_GRID, aux=leak)
+    traj = evolve(spec, projector("eg"), FAST_GRID)  # traj.aux: the emitted flux
     pa = traj.states[:, 2, 2].real + traj.states[:, 3, 3].real
     pb = traj.states[:, 1, 1].real + traj.states[:, 3, 3].real
 

@@ -183,8 +183,9 @@ def test_aux_integrand_accumulates():
     g = 0.1
     exact = traj.times / 2 + np.sin(2 * g * traj.times) / (4 * g)
     assert np.abs(traj.aux - exact).max() <= 1e-9
-    with pytest.raises(ValueError, match="single spec"):
-        evolve([spec], EG, TimeGrid(0.0, 1.0, dt=0.02), aux=lambda t, rho: 0.0)
+    for other in ([spec], chiral_spec(ChiralProtocol(gamma_max=0.1, tau=10.0))):
+        with pytest.raises(ValueError, match="single spec"):
+            evolve(other, EG, TimeGrid(0.0, 1.0, dt=0.02), aux=lambda t, rho: 0.0)
 
 
 def reference_step(spec, rho, h):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_density
-from gaqb.chiral import ChiralProtocol, chiral_coupling_params
+from gaqb.chiral import ChiralProtocol, chiral_coupling_params, chiral_spec
 from gaqb.geometry import (
     BRAIDED, NESTED, SEPARATED, CouplingLayout, CouplingParams, closed_form_params,
 )
@@ -18,9 +18,11 @@ from gaqb.liouville import (
     CASCADED_RIGHT,
     LiouvillianSpec,
     StateValidationError,
+    cascaded_generators,
     cross_dissipator,
     dissipator,
     effective_hamiltonian,
+    jump_operator,
     ket,
     make_generator,
     projector,
@@ -208,6 +210,27 @@ def test_rhs_no_excitation_raising(spec):
         rho[2, 1] += np.conj(c)
         out = rhs(spec, 0.0, rho)
         assert abs(out[3, 3]) <= 1e-12
+
+
+@pytest.mark.parametrize("theta", [math.pi / 2, 1.2])  # 1.2: nonzero Lamb shifts
+@pytest.mark.parametrize("direction", ["right", "left"])
+def test_cascaded_superoperator_matches_textbook(theta, direction):
+    spec = chiral_spec(ChiralProtocol(gamma_max=0.1, tau=50.0, theta=theta, direction=direction))
+    ts = np.array([0.0, 30.0, 50.0, 80.0])  # rising, on and past the kink, falling
+    G = cascaded_generators(spec, ts)
+    assert G.shape == (4, 17, 17)
+    assert not G[:, :, 16].any()  # the flux never feeds back
+    for t, g in zip(ts.tolist(), G):
+        H = effective_hamiltonian(spec, t)
+        L = jump_operator(spec.params_at(t), spec.dissipator_kind)
+        assert np.abs(g - cascaded_generators(spec, t)).max() <= 1e-15
+        for _ in range(10):
+            rho = random_density(RNG)
+            expected = -1j * (H @ rho - rho @ H) + dissipator(L, rho)
+            out = g @ np.append(rho.ravel(), 0.0)
+            assert np.abs(out[:16].reshape(4, 4) - expected).max() <= 1e-14
+            assert abs(out[16] - np.trace(L.conj().T @ L @ rho)) <= 1e-14
+            assert np.abs(make_generator(spec)(t, rho) - expected).max() <= 1e-14
 
 
 def matmul_generator(specs):
