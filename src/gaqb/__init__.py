@@ -48,7 +48,6 @@ from .integrator import (
 )
 from .metrics import (
     BatteryState,
-    MetricsRecord,
     average_power,
     compute_records,
     energy,

@@ -36,7 +36,11 @@ from .liouville import (
     jump_operator,  # noqa: F401 -- perfbench/tracer.py times gaqb.chiral.jump_operator
     projector,
 )
-from .metrics import compute_records
+from .metrics import (
+    charger_population,
+    compute_records,  # noqa: F401 -- perfbench/tracer.py times gaqb.chiral.compute_records
+    partial_trace_battery,
+)
 
 RIGHT_TO_BATTERY = "right"
 LEFT_TO_CHARGER = "left"
@@ -209,11 +213,11 @@ def run_transfer(
         min_eigenvalue=min(q.min_eigenvalue for q in pieces),
         step_count=sum(q.step_count for q in pieces),
     )
-    last = compute_records(out)[-1]
+    p_b, p_a = partial_trace_battery(rho).p, charger_population(rho)
     summary = TransferSummary(
-        final_battery_energy=last.p_b,
-        final_charger_energy=last.p_a,
+        final_battery_energy=p_b,
+        final_charger_energy=p_a,
         leakage=acc,
-        efficiency=last.p_b if p.direction == RIGHT_TO_BATTERY else last.p_a,
+        efficiency=p_b if p.direction == RIGHT_TO_BATTERY else p_a,
     )
     return out, summary

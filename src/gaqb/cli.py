@@ -23,7 +23,6 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from operator import attrgetter
 from typing import Optional, get_type_hints
 
 import numpy as np
@@ -32,7 +31,7 @@ from .chiral import ChiralProtocol, default_stride, run_transfer
 from .geometry import BUILTIN_TOPOLOGIES, CouplingLayout, closed_form_params
 from .integrator import MAX_STEPS, TimeGrid, evolve
 from .liouville import LiouvillianSpec, SimulationError, projector
-from .metrics import compute_records, metric_arrays
+from .metrics import compute_records
 
 SWEEP_METRICS = ("E", "ergotropy", "sigma", "power", "energy_power")
 _CELL_COLS = {name: col for col, name in enumerate(SWEEP_METRICS, start=1)}
@@ -221,27 +220,27 @@ def run_params(cfg: RunConfig):
     rows = []
     for th in _theta_grid(cfg):
         p = closed_form_params(CouplingLayout(topo, float(th), cfg.gamma))
-        rows.append((th, p.g_ab, p.Gamma_a, p.Gamma_b, p.Gamma_coll, p.delta_a, p.delta_b))
+        row = (th, p.g_ab, p.Gamma_a, p.Gamma_b, p.Gamma_coll, p.delta_a, p.delta_b)
+        if not all(map(math.isfinite, row)):
+            raise SimulationError(f"coefficients at theta = {th:.10g} are not finite")
+        rows.append(row)
     return PARAMS_HEADER, rows
 
 
 CHARGE_HEADER = ("t", "p_a", "p_b", "E", "ergotropy", "sigma", "power", "purity")
-_charge_row = attrgetter(*CHARGE_HEADER)  # a MetricsRecord's CHARGE_HEADER values
 
 
 def charge_trajectory(cfg: RunConfig):
-    """One charging run from |e_a g_b>; returns the trajectory with records."""
+    """One charging run from |e_a g_b>; returns its metrics records."""
     layout = CouplingLayout(BUILTIN_TOPOLOGIES[cfg.topology], cfg.theta, cfg.gamma)
     spec = LiouvillianSpec(closed_form_params(layout))
     grid = TimeGrid(0.0, cfg.tmax, dt=cfg.dt, sample_stride=cfg.sample_stride)
-    traj = evolve(spec, projector("eg"), grid)
-    compute_records(traj)
-    return traj
+    return compute_records(evolve(spec, projector("eg"), grid))
 
 
 def run_charge(cfg: RunConfig):
-    traj = charge_trajectory(cfg)
-    return CHARGE_HEADER, [_charge_row(r) for r in traj.records]
+    recs = charge_trajectory(cfg)
+    return CHARGE_HEADER, np.column_stack([recs[name] for name in CHARGE_HEADER])
 
 
 def _sweep_cell(args):
@@ -261,8 +260,8 @@ def _sweep_cell(args):
     except SimulationError as exc:
         theta = thetas[getattr(exc, "cell", 0)]
         raise SimulationError(f"sweep cell theta = {theta:.10g} failed: {exc}") from exc
-    m = metric_arrays(traj)
-    return np.stack([m[name] for name in ("t", *_CELL_COLS)], axis=-1)
+    recs = compute_records(traj)
+    return np.stack([recs[name] for name in ("t", *_CELL_COLS)], axis=-1)
 
 
 def _parabolic_peak(ts, fs, i):
@@ -362,7 +361,8 @@ def run_chiral(cfg: RunConfig, explicit=()):
     except ValueError as exc:  # a decoupling theta or a window over the step budget
         raise ConfigError(str(exc)) from exc
     traj, s = run_transfer(protocol, grid=grid)
-    rows = [(*_charge_row(r), lk) for r, lk in zip(traj.records, traj.aux.tolist())]
+    recs = compute_records(traj)
+    rows = np.column_stack([*(recs[name] for name in CHARGE_HEADER), traj.aux])
     return CHARGE_HEADER + ("leakage",), rows, asdict(s)
 
 

@@ -16,8 +16,8 @@ from the generators at the stage times.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -81,10 +81,8 @@ class ChargingTrajectory:
 
     ``states`` is (T,4,4) for a single spec and (N,T,4,4) for a batch of
     N specs, whose ``max_trace_drift`` and ``min_eigenvalue`` are then
-    per-cell arrays.  ``aux`` holds the co-integrated scalar at the
-    snapshot times: the integrated emitted flux for a cascaded spec, or
-    the integral of an ``aux`` callback; ``records`` is filled by the
-    metrics module.
+    per-cell arrays.  For a cascaded spec ``aux`` holds the integrated
+    emitted flux at the snapshot times; otherwise it is None.
     """
 
     times: np.ndarray
@@ -93,7 +91,6 @@ class ChargingTrajectory:
     max_trace_drift: Union[float, np.ndarray] = 0.0
     min_eigenvalue: Union[float, np.ndarray] = 1.0
     step_count: int = 0
-    records: list = field(default_factory=list)
 
 
 def _check_snapshots(times: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -123,31 +120,22 @@ def _check_snapshots(times: np.ndarray, states: np.ndarray) -> np.ndarray:
     return eigs.min(axis=1)
 
 
-def _march_stack(gen, rho, aux, aux0, grid, n_full, rem, snaps):
+def _march_stack(gen, rho, grid, n_full, rem, snaps):
     """RK4 on an (N,4,4) stack of states under the rhs ``gen``.
 
-    ``aux``, if given, is integrated through the same stages from ``aux0``.
-    Returns the (N,T,4,4) snapshots, the (T,) aux values and the per-cell
-    maximum trace drift.
+    Each step is re-Hermitized and its trace renormalized.  Returns the
+    (N,T,4,4) snapshots and the per-cell maximum trace drift.
     """
-    acc = aux0
     drift_max = np.zeros(len(rho))
-
-    def rk4_step(t, rho, h):
-        """One RK4 step, then re-Hermitization and trace renormalization."""
-        nonlocal acc
+    states = np.empty((len(rho), len(snaps), 4, 4), dtype=complex)
+    states[:, 0] = rho
+    k = 1
+    for i in range(snaps[-1]):
+        t, h = grid.t_start + i * grid.dt, grid.dt if i < n_full else rem
         k1 = gen(t, rho)
-        y2 = rho + (0.5 * h) * k1
-        k2 = gen(t + 0.5 * h, y2)
-        y3 = rho + (0.5 * h) * k2
-        k3 = gen(t + 0.5 * h, y3)
-        y4 = rho + h * k3
-        k4 = gen(t + h, y4)
-        if aux is not None:
-            acc += (h / 6.0) * (
-                aux(t, rho[0]) + 2.0 * aux(t + 0.5 * h, y2[0])
-                + 2.0 * aux(t + 0.5 * h, y3[0]) + aux(t + h, y4[0])
-            )
+        k2 = gen(t + 0.5 * h, rho + (0.5 * h) * k1)
+        k3 = gen(t + 0.5 * h, rho + (0.5 * h) * k2)
+        k4 = gen(t + h, rho + h * k3)
         rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         rho = 0.5 * (rho + rho.conj().swapaxes(1, 2))
         trace = rho.trace(0, 1, 2).real
@@ -156,20 +144,12 @@ def _march_stack(gen, rho, aux, aux0, grid, n_full, rem, snaps):
         renorm = drift > 1e-12
         if renorm.any():
             np.divide(rho, trace[:, None, None], out=rho, where=renorm[:, None, None])
-        return rho
-
-    states = np.empty((len(rho), len(snaps), 4, 4), dtype=complex)
-    aux_vals = np.empty(len(snaps))
-    states[:, 0], aux_vals[0] = rho, acc
-    k = 1
-    for i in range(snaps[-1]):
-        rho = rk4_step(grid.t_start + i * grid.dt, rho, grid.dt if i < n_full else rem)
         if i + 1 == snaps[k]:
-            states[:, k], aux_vals[k] = rho, acc
+            states[:, k] = rho
             k += 1
     # a window too short for any step still ends in a snapshot
-    states[:, -1], aux_vals[-1] = rho, acc
-    return states, aux_vals, drift_max
+    states[:, -1] = rho
+    return states, drift_max
 
 
 _HERMITIAN_PARTNER = np.arange(16).reshape(4, 4).T.ravel()  # vec index of rho[j, i]
@@ -192,7 +172,8 @@ def _march_cascaded(spec, rho0, aux0, grid, n_full, rem, snaps):
     M = I + h/6 (L1 + 2 A2 + 2 A3 + A4), which is the classical RK4 step.
     After each step the state is re-Hermitized and renormalized as in
     :func:`_march_stack`; the flux component is left as it is.  Returns
-    what :func:`_march_stack` returns, for a stack of one.
+    the (1,T,4,4) snapshots, the (T,) emitted flux and the maximum trace
+    drift.
     """
     v = np.append(np.asarray(rho0, dtype=complex).ravel(), aux0)
     out = np.empty((len(snaps), 17), dtype=complex)
@@ -236,16 +217,17 @@ def evolve(
     spec: Union[LiouvillianSpec, Sequence[LiouvillianSpec]],
     rho0: np.ndarray,
     grid: TimeGrid,
-    aux: Optional[Callable[[float, np.ndarray], float]] = None,
+    aux: None = None,
     aux0: float = 0.0,
 ) -> ChargingTrajectory:
     """Integrate the master equation over the grid.
 
     ``spec`` is one spec, or a sequence of N time-independent bidirectional
     specs integrated as one (N,4,4) stack from the common ``rho0``; every
-    cell of the stack gets the bits it would get alone.  ``aux`` needs a
-    single bidirectional spec; a cascaded spec integrates its emitted flux
-    Tr[L^dag L rho] into ``aux``, starting from ``aux0``.
+    cell of the stack gets the bits it would get alone.  A cascaded spec
+    integrates its emitted flux Tr[L^dag L rho] into ``traj.aux``, starting
+    from ``aux0``.  ``aux`` takes no value but None: there is no
+    co-integrated callback.
 
     Raises :class:`PositivityError` if any recorded state has an eigenvalue
     below -1e-6 and :class:`DivergenceError` on non-finite values; both
@@ -253,8 +235,8 @@ def evolve(
     """
     single = isinstance(spec, LiouvillianSpec)
     cascaded = single and spec.dissipator_kind != BIDIRECTIONAL
-    if aux is not None and (cascaded or not single):
-        raise ValueError("aux needs a single spec of the bidirectional kind")
+    if aux is not None:
+        raise ValueError("evolve co-integrates no aux callback; pass aux=None")
     validate_density_matrix(rho0)
 
     span = grid.t_end - grid.t_start
@@ -273,8 +255,8 @@ def evolve(
             states, aux_vals, drift_max = _march_cascaded(spec, rho0, aux0, grid, n_full, rem, snaps)
         else:
             rho = np.repeat(np.array(rho0, dtype=complex)[None], 1 if single else len(spec), axis=0)
-            states, aux_vals, drift_max = _march_stack(
-                make_generator(spec), rho, aux, aux0, grid, n_full, rem, snaps)
+            states, drift_max = _march_stack(make_generator(spec), rho, grid, n_full, rem, snaps)
+            aux_vals = None
 
     min_eig = _check_snapshots(times, states)
     if single:
@@ -282,7 +264,7 @@ def evolve(
     return ChargingTrajectory(
         times=times,
         states=states,
-        aux=aux_vals if cascaded or aux is not None else None,
+        aux=aux_vals,
         max_trace_drift=drift_max,
         min_eigenvalue=min_eig,
         step_count=n_steps,

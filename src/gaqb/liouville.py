@@ -245,13 +245,13 @@ def _bidirectional_parts(spec: LiouvillianSpec):
 def make_generator(
     spec: Union[LiouvillianSpec, Sequence[LiouvillianSpec]],
 ) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Compile the spec into a fast rhs closure (no per-call validation).
+    """Compile a bidirectional spec into a fast rhs closure (no per-call validation).
 
-    For a bidirectional spec the returned function computes
-    drho/dt = K rho + rho K^dag + jumps, where K folds the Hamiltonian and
-    the anticommutator halves together; for a cascaded spec it applies the
-    state block of :func:`cascaded_generators` to vec(rho).  It maps a 4x4
-    state, or an (N,4,4) stack, to its derivative.
+    The returned function computes drho/dt = K rho + rho K^dag + jumps,
+    where K folds the Hamiltonian and the anticommutator halves together.
+    It maps a 4x4 state, or an (N,4,4) stack, to its derivative.  A
+    cascaded spec raises ValueError: its generator is
+    :func:`cascaded_generators`.
 
     ``spec`` may also be a sequence of N bidirectional specs; the closure
     then advances an (N,4,4) stack, cell i under spec i.  Each cell sees
@@ -259,20 +259,15 @@ def make_generator(
     term is added only where its rate is nonzero, and skipped altogether
     when no cell has it.
     """
-    if not isinstance(spec, LiouvillianSpec):
-        if any(s.dissipator_kind != BIDIRECTIONAL for s in spec):
-            raise ValueError("only bidirectional specs can be stacked")
+    single = isinstance(spec, LiouvillianSpec)
+    if any(s.dissipator_kind != BIDIRECTIONAL for s in ([spec] if single else spec)):
+        raise ValueError("make_generator takes bidirectional specs; see cascaded_generators")
+    if single:
+        K, rates = _bidirectional_parts(spec)
+    else:
         parts = [_bidirectional_parts(s) for s in spec]
         K = np.stack([k for k, _ in parts])
         rates = np.array([r for _, r in parts]).T[:, :, None, None]  # (3, N, 1, 1)
-    elif spec.dissipator_kind == BIDIRECTIONAL:
-        K, rates = _bidirectional_parts(spec)
-    else:
-        def rhs_cascaded(t, rho):
-            G = cascaded_generators(spec, t)[:16, :16]
-            return (rho.reshape(*rho.shape[:-2], 16) @ G.T).reshape(rho.shape)
-
-        return rhs_cascaded
 
     Kd = K.conj().swapaxes(-1, -2)
     # each atom's (ground, excited) rows of rho in the index 2 n_a + n_b:
@@ -299,6 +294,12 @@ def make_generator(
 
 
 def rhs(spec: LiouvillianSpec, t: float, rho: np.ndarray) -> np.ndarray:
-    """drho/dt for a validated input state. Traceless, Hermiticity-preserving."""
+    """drho/dt for a validated input state. Traceless, Hermiticity-preserving.
+
+    A cascaded spec applies the state block of :func:`cascaded_generators`.
+    """
     validate_density_matrix(rho)
-    return make_generator(spec)(t, np.asarray(rho, dtype=complex))
+    rho = np.asarray(rho, dtype=complex)
+    if spec.dissipator_kind == BIDIRECTIONAL:
+        return make_generator(spec)(t, rho)
+    return (rho.reshape(16) @ cascaded_generators(spec, t)[:16, :16].T).reshape(4, 4)

@@ -34,21 +34,6 @@ class BatteryState:
     c: complex
 
 
-@dataclass(frozen=True)
-class MetricsRecord:
-    """Per-snapshot indicators, all in units of the transition frequency."""
-
-    t: float
-    E: float
-    ergotropy: float
-    sigma: float
-    power: float
-    energy_power: float
-    p_a: float
-    p_b: float
-    purity: float
-
-
 def partial_trace_battery(rho: np.ndarray) -> BatteryState:
     """Trace out the charger: sum of the two diagonal 2x2 blocks."""
     rho = np.asarray(rho)
@@ -111,12 +96,13 @@ def purity(rho: np.ndarray) -> float:
     return float(np.trace(rho @ rho).real)
 
 
-def metric_arrays(traj: ChargingTrajectory) -> dict:
-    """Every :class:`MetricsRecord` field as an array over the snapshots.
+def compute_records(traj: ChargingTrajectory) -> np.recarray:
+    """Per-snapshot indicators as one record array, a field per indicator.
 
-    Works on (T,4,4) and batched (N,T,4,4) states alike; each entry has
-    the states' leading shape and holds, bit for bit, the value the
-    per-state functions above give for that snapshot.
+    All values are in units of the transition frequency.  Works on (T,4,4)
+    and batched (N,T,4,4) states alike: the array has the states' leading
+    shape, and each field holds, bit for bit, the value the per-state
+    functions above give for that snapshot.
     """
     states = traj.states
     times = np.broadcast_to(traj.times, states.shape[:-2])
@@ -128,7 +114,7 @@ def metric_arrays(traj: ChargingTrajectory) -> dict:
     var = p - p * p
     std = np.sqrt(np.where(var > 0.0, var, 0.0))
     elapsed = times - traj.times[0]
-    return {
+    fields = {
         "t": times,
         "E": p,
         "ergotropy": erg,
@@ -139,12 +125,4 @@ def metric_arrays(traj: ChargingTrajectory) -> dict:
         "p_b": p,
         "purity": np.trace(states @ states, axis1=-2, axis2=-1).real,
     }
-
-
-def compute_records(traj: ChargingTrajectory) -> list[MetricsRecord]:
-    """Fill traj.records with per-snapshot MetricsRecord entries."""
-    cols = metric_arrays(traj)
-    fields = MetricsRecord.__dataclass_fields__
-    records = [MetricsRecord(*row) for row in zip(*(cols[f].tolist() for f in fields))]
-    traj.records = records
-    return records
+    return np.rec.fromarrays(list(fields.values()), names=list(fields))

@@ -18,7 +18,7 @@ from gaqb.chiral import (
 from gaqb.geometry import CouplingParams
 from gaqb.integrator import TimeGrid, evolve
 from gaqb.liouville import CASCADED_RIGHT, LiouvillianSpec, jump_operator, projector
-from gaqb.metrics import charger_state
+from gaqb.metrics import charger_state, compute_records
 
 GMAX = 1.0
 TAU = 10.0
@@ -152,8 +152,8 @@ def test_transfer_is_nearly_lossless():
     assert s.final_battery_energy >= 0.99
     assert s.leakage <= 0.01
     assert s.efficiency == pytest.approx(s.final_battery_energy)
-    book = np.array([r.p_a + r.p_b for r in traj.records]) + traj.aux
-    assert np.abs(book - 1.0).max() <= 1e-12
+    recs = compute_records(traj)
+    assert np.abs(recs.p_a + recs.p_b + traj.aux - 1.0).max() <= 1e-12
 
 
 def test_transfer_summary_matches_recorded_values():
@@ -172,8 +172,7 @@ def test_transfer_summary_matches_recorded_values():
 
 def test_transfer_energy_stays_put_after_catch():
     traj, _ = run_transfer(PROTO, grid=FAST_GRID)
-    pb = np.array([r.p_b for r in traj.records])
-    late = pb[traj.times >= 2 * TAU]
+    late = compute_records(traj).p_b[traj.times >= 2 * TAU]
     assert np.all(np.diff(late) >= -1e-9)  # no re-emission once caught
 
 
@@ -235,12 +234,9 @@ def test_wrong_cascade_direction_breaks_unidirectionality():
 def test_reversal_mirrors_population_curves():
     fwd, s_fwd = run_transfer(PROTO, grid=FAST_GRID)
     rev, s_rev = run_transfer(reverse_direction(PROTO), grid=FAST_GRID)
-    pa_f = np.array([r.p_a for r in fwd.records])
-    pb_f = np.array([r.p_b for r in fwd.records])
-    pa_r = np.array([r.p_a for r in rev.records])
-    pb_r = np.array([r.p_b for r in rev.records])
-    assert np.abs(pa_r - pb_f).max() <= 1e-9
-    assert np.abs(pb_r - pa_f).max() <= 1e-9
+    f, r = compute_records(fwd), compute_records(rev)
+    assert np.abs(r.p_a - f.p_b).max() <= 1e-9
+    assert np.abs(r.p_b - f.p_a).max() <= 1e-9
     assert s_rev.final_charger_energy == pytest.approx(s_fwd.final_battery_energy, abs=1e-9)
     assert s_rev.leakage == pytest.approx(s_fwd.leakage, abs=1e-9)
 

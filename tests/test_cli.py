@@ -289,6 +289,10 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
                  ["--theta", "1e-11", "--gamma-max", "0.1", "--tau-scaled", "10", "--dt", "0.02"]):
         assert main(["chiral", *args, "--out", str(tmp_path / "c.csv")]) == 2
         assert "numerical failure: non-finite state at t = " in capsys.readouterr().err
+    # gamma = 1e308 overflows the coefficients at theta = 0 already
+    assert main(["params", "--gamma", "1e308", "--theta-steps", "3",
+                 "--out", str(tmp_path / "p.csv")]) == 2
+    assert "numerical failure: coefficients at theta = 0 are not finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("workers", [1, 2, 5])

@@ -230,7 +230,7 @@ def test_cascaded_superoperator_matches_textbook(theta, direction):
             out = g @ np.append(rho.ravel(), 0.0)
             assert np.abs(out[:16].reshape(4, 4) - expected).max() <= 1e-14
             assert abs(out[16] - np.trace(L.conj().T @ L @ rho)) <= 1e-14
-            assert np.abs(make_generator(spec)(t, rho) - expected).max() <= 1e-14
+            assert np.abs(rhs(spec, t, rho) - expected).max() <= 1e-14
 
 
 def matmul_generator(specs):
@@ -314,3 +314,5 @@ def test_spec_validation():
         LiouvillianSpec(p, dissipator_kind="sideways")
     with pytest.raises(ValueError):
         LiouvillianSpec(lambda t: p, dissipator_kind=BIDIRECTIONAL)
+    with pytest.raises(ValueError, match="bidirectional"):  # its generator is cascaded_generators
+        make_generator(cascaded_spec())

@@ -16,7 +16,6 @@ from gaqb.metrics import (
     ergotropy,
     ergotropy_closed_form,
     fluctuation,
-    metric_arrays,
     partial_trace_battery,
     purity,
 )
@@ -150,13 +149,16 @@ def test_records_power_at_origin_is_zero():
 
 
 def test_metric_arrays_match_per_state_functions_bitwise():
-    # the whole-array metrics give each snapshot the bits of the per-state
-    # functions, for a single trajectory and for a batch of cells
+    # each field of the record array gives each snapshot the bits of the
+    # per-state functions, for a single trajectory and for a batch of cells
     specs = [LiouvillianSpec(closed_form_params(CouplingLayout(BRAIDED, th, 0.1)))
              for th in (0.4, math.pi / 2, 2.2)]
     grid = TimeGrid(0.0, 30.0, dt=0.05, sample_stride=7)
     batch = evolve(specs, projector("eg"), grid)
-    cells = metric_arrays(batch)
+    cells = compute_records(batch)
+    assert cells.shape == batch.states.shape[:2]
+    fields = ("t", "E", "ergotropy", "sigma", "power", "energy_power", "p_a", "p_b", "purity")
+    assert cells.dtype.names == fields
     for i, spec in enumerate(specs):
         traj = evolve(spec, projector("eg"), grid)
         recs = compute_records(traj)
@@ -170,8 +172,8 @@ def test_metric_arrays_match_per_state_functions_bitwise():
                              average_power(erg, elapsed),
                              energy(b) / elapsed if elapsed > 0.0 else 0.0,
                              charger_population(rho), b.p, purity(rho)))
-        got = np.array([[getattr(r, f) for f in r.__dataclass_fields__] for r in recs])
+        got = np.stack([recs[f] for f in fields], axis=-1)
         want = np.array(expected)
         assert (got.view(np.uint64) == want.view(np.uint64)).all()
-        batched = np.stack([cells[f][i] for f in recs[0].__dataclass_fields__], axis=-1)
+        batched = np.stack([cells[f][i] for f in fields], axis=-1)
         assert (batched.view(np.uint64) == want.view(np.uint64)).all()
