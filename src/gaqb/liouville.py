@@ -12,9 +12,9 @@ Two dissipator structures are supported: the bidirectional generator
 cascaded chiral generator (a single right- or left-passing collective jump
 operator, with the matching anti-Hermitian exchange term in the
 Hamiltonian).  The bare transition frequency is rotated away; only the
-Lamb shifts appear in the coherent part.  The cascaded generator is built
-in Liouville space, from six fixed superoperators on row-major vec(rho)
-with the emitted flux as a 17th row.
+Lamb shifts appear in the coherent part.  The cascaded generator is a real
+17x17 matrix on real Hermitian coordinates of rho, with the emitted flux
+as a 17th component, so a state marched in them stays Hermitian.
 """
 from __future__ import annotations
 
@@ -180,19 +180,12 @@ def effective_hamiltonian(spec: LiouvillianSpec, t: float = 0.0) -> np.ndarray:
     return H + sign * abs(p.g_ab) * EXCHANGE_CHIRAL
 
 
-_UNITS = np.eye(16, dtype=complex).reshape(16, 4, 4)  # |i><j| at row-major index 4 i + j
-
-
-def _superoperator(action: Callable[[np.ndarray], np.ndarray], flux=None) -> np.ndarray:
-    """17x17 matrix of a linear map on rho, acting on row-major vec(rho).
-
-    Row 16 is Tr[flux rho] (zero without ``flux``); column 16 is zero, so
-    the 17th component only integrates that trace.
-    """
+def _superoperator(action: Callable[[np.ndarray], np.ndarray], flux=np.zeros((4, 4))) -> np.ndarray:
+    """17x17 matrix of a map on row-major vec(rho); row 16 is Tr[flux rho], column 16 is zero."""
     out = np.zeros((17, 17), dtype=complex)
-    out[:16, :16] = np.stack([action(u).ravel() for u in _UNITS], axis=1)
-    if flux is not None:
-        out[16, :16] = flux.T.ravel()
+    units = np.eye(16, dtype=complex).reshape(16, 4, 4)  # |i><j| at row-major index 4 i + j
+    out[:16, :16] = np.stack([action(u).ravel() for u in units], axis=1)
+    out[16, :16] = flux.T.ravel()
     return out
 
 
@@ -200,27 +193,47 @@ def _commutator(H: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return lambda rho: -1j * (H @ rho - rho @ H)
 
 
+# real coordinates (rho_00..rho_33, Re rho_ij, Im rho_ij for i < j, flux):
+# P maps them to (vec(rho), flux), and Q = P^+ maps a Hermitian rho back
+_P = np.zeros((17, 17), dtype=complex)
+_P[[0, 5, 10, 15, 16], [0, 1, 2, 3, 16]] = 1.0
+for _k, (_i, _j) in enumerate(zip(*np.triu_indices(4, 1))):  # rho_ij and rho_ji
+    _P[[4 * _i + _j, 4 * _j + _i], 4 + 2 * _k] = 1.0, 1.0
+    _P[[4 * _i + _j, 4 * _j + _i], 5 + 2 * _k] = 1j, -1j
+_Q = _P.conj().T / np.abs(_P).sum(axis=0)[:, None]
+
+
+def coordinates(rho: np.ndarray) -> np.ndarray:
+    """Real coordinates (16,) of a Hermitian 4x4 state."""
+    return (_Q[:16, :16] @ np.ravel(rho)).real
+
+
+def density_matrices(x: np.ndarray) -> np.ndarray:
+    """Exactly Hermitian (..., 4, 4) states from their real coordinates (..., 16)."""
+    return (x @ _P[:16, :16].T).reshape(*x.shape[:-1], 4, 4)
+
+
 # the cascaded generator is sum_k c_k B_k with coefficients
 # (kappa_a, kappa_b, sqrt(kappa_a kappa_b), delta_a, delta_b, +/-|g_ab|):
 # D[L] = kappa_a D[sigma_a] + kappa_b D[sigma_b] + sqrt(kappa_a kappa_b) D[sigma_a, sigma_b]
 # for L = i (sqrt(kappa_a) sigma_a^- + sqrt(kappa_b) sigma_b^-), and the
-# flux row Tr[L^dag L rho] splits the same way
-_CASCADED_BASIS = np.stack([
+# flux row Tr[L^dag L rho] splits the same way; each B_k is a real Q B P
+_CASCADED_BASIS = (_Q @ np.stack([
     _superoperator(lambda rho: dissipator(SIGMA_MINUS_A, rho), NUMBER_A),
     _superoperator(lambda rho: dissipator(SIGMA_MINUS_B, rho), NUMBER_B),
     _superoperator(lambda rho: cross_dissipator(SIGMA_MINUS_A, SIGMA_MINUS_B, rho), EXCHANGE),
     _superoperator(_commutator(NUMBER_A)),
     _superoperator(_commutator(NUMBER_B)),
     _superoperator(_commutator(EXCHANGE_CHIRAL)),
-]).reshape(6, 17 * 17)
+]) @ _P).real.reshape(6, 17 * 17)
 
 
 def cascaded_generators(spec: LiouvillianSpec, times) -> np.ndarray:
-    """Generators of a cascaded spec at each of an array of times, (..., 17, 17).
+    """Real generators of a cascaded spec at each of an array of times, (..., 17, 17).
 
-    The 16x16 block maps row-major vec(rho) to vec(-i[H, rho] + D[L] rho);
-    row 16 is the emitted flux Tr[L^dag L rho].  All times are built as
-    one matmul of their six coefficients with the fixed basis.
+    The 16x16 block maps the :func:`coordinates` of rho to those of
+    -i[H, rho] + D[L] rho; row 16 is the emitted flux Tr[L^dag L rho].  All
+    times are one matmul of their six coefficients with the fixed basis.
     """
     p = spec.params_at(times)
     ka = 0.5 * np.maximum(p.Gamma_a, 0.0)
@@ -302,4 +315,4 @@ def rhs(spec: LiouvillianSpec, t: float, rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if spec.dissipator_kind == BIDIRECTIONAL:
         return make_generator(spec)(t, rho)
-    return (rho.reshape(16) @ cascaded_generators(spec, t)[:16, :16].T).reshape(4, 4)
+    return density_matrices(cascaded_generators(spec, t)[:16, :16] @ coordinates(rho))

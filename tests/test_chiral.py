@@ -170,6 +170,20 @@ def test_transfer_summary_matches_recorded_values():
         assert getattr(s, name) == pytest.approx(float.fromhex(value), abs=1e-12)
 
 
+def test_reversed_transfer_summary_matches_recorded_values():
+    # the left-moving run, recorded from the complex Liouville-space march
+    # that stepped with I + D and re-Hermitized after every step
+    _, s = run_transfer(reverse_direction(PROTO), grid=FAST_GRID)
+    recorded = {
+        "final_battery_energy": "0x1.1b4a0ad74faa1p-30",
+        "final_charger_energy": "0x1.fffd06486b1bfp-1",
+        "leakage": "0x1.7cd75d499d0f9p-16",
+        "efficiency": "0x1.fffd06486b1bfp-1",
+    }
+    for name, value in recorded.items():
+        assert getattr(s, name) == pytest.approx(float.fromhex(value), abs=1e-12)
+
+
 def test_transfer_energy_stays_put_after_catch():
     traj, _ = run_transfer(PROTO, grid=FAST_GRID)
     late = compute_records(traj).p_b[traj.times >= 2 * TAU]

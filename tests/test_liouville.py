@@ -19,7 +19,9 @@ from gaqb.liouville import (
     LiouvillianSpec,
     StateValidationError,
     cascaded_generators,
+    coordinates,
     cross_dissipator,
+    density_matrices,
     dissipator,
     effective_hamiltonian,
     jump_operator,
@@ -212,13 +214,34 @@ def test_rhs_no_excitation_raising(spec):
         assert abs(out[3, 3]) <= 1e-12
 
 
+def test_real_coordinates_round_trip():
+    # populations, then Re and Im of rho_01, rho_02, rho_03, rho_12, rho_13, rho_23
+    rng = np.random.default_rng(5)
+    states = []
+    for _ in range(18):
+        rho = random_density(rng)
+        rho = 0.5 * (rho + rho.conj().T)  # exactly Hermitian
+        x = coordinates(rho)
+        assert x.dtype == np.float64 and x.shape == (16,)
+        assert x[:4].tolist() == np.diagonal(rho).real.tolist()
+        assert x[4:6].tolist() == [rho[0, 1].real, rho[0, 1].imag]
+        assert x[14:].tolist() == [rho[2, 3].real, rho[2, 3].imag]
+        back = density_matrices(x)
+        assert np.array_equal(back, rho)
+        assert np.array_equal(back, back.conj().T)  # Hermitian bit for bit
+        states.append((rho, x))
+    # batched: (3, 6, 16) coordinates to (3, 6, 4, 4) states
+    rhos, xs = (np.array(a).reshape(3, 6, *a[0].shape) for a in zip(*states))
+    assert np.array_equal(density_matrices(xs), rhos)
+
+
 @pytest.mark.parametrize("theta", [math.pi / 2, 1.2])  # 1.2: nonzero Lamb shifts
 @pytest.mark.parametrize("direction", ["right", "left"])
 def test_cascaded_superoperator_matches_textbook(theta, direction):
     spec = chiral_spec(ChiralProtocol(gamma_max=0.1, tau=50.0, theta=theta, direction=direction))
     ts = np.array([0.0, 30.0, 50.0, 80.0])  # rising, on and past the kink, falling
     G = cascaded_generators(spec, ts)
-    assert G.shape == (4, 17, 17)
+    assert G.shape == (4, 17, 17) and G.dtype == np.float64  # real coordinates
     assert not G[:, :, 16].any()  # the flux never feeds back
     for t, g in zip(ts.tolist(), G):
         H = effective_hamiltonian(spec, t)
@@ -227,8 +250,8 @@ def test_cascaded_superoperator_matches_textbook(theta, direction):
         for _ in range(10):
             rho = random_density(RNG)
             expected = -1j * (H @ rho - rho @ H) + dissipator(L, rho)
-            out = g @ np.append(rho.ravel(), 0.0)
-            assert np.abs(out[:16].reshape(4, 4) - expected).max() <= 1e-14
+            out = g @ np.append(coordinates(rho), 0.0)
+            assert np.abs(density_matrices(out[:16]) - expected).max() <= 1e-14
             assert abs(out[16] - np.trace(L.conj().T @ L @ rho)) <= 1e-14
             assert np.abs(rhs(spec, t, rho) - expected).max() <= 1e-14
 
