@@ -162,7 +162,7 @@ def _fmt(x) -> str:
 def write_csv(stream, header, rows, summary_lines=()):
     stream.write(",".join(header) + "\n")
     row_fmt = ",".join(["%.17g"] * len(header)) + "\n"  # _fmt's format
-    for row in rows:
+    for row in np.asarray(rows, dtype=float).tolist():  # Python floats format fastest
         stream.write(row_fmt % tuple(row))
     for line in summary_lines:
         stream.write("# " + line + "\n")

@@ -1,14 +1,15 @@
 """Deterministic fixed-step RK4 for the master equation.
 
 Identical inputs produce bit-identical trajectories, and the trace is
-renormalized only if its drift exceeds 1e-12.  A batch of time-independent
-bidirectional specs is advanced as one (N,4,4) stack, re-Hermitized after
-every step, with the same operations per cell, so batching never changes a
-cell's bits.  A cascaded spec is marched in real Hermitian coordinates with
-the emitted flux as a 17th component, so it stays Hermitian with no
-re-Hermitization: each step is v + D v, with the real RK4 increment maps D
-built :data:`CHUNK` steps at a time.  Snapshots are checked for finiteness
-and positivity once, after the run.
+renormalized only if its drift exceeds 1e-12.  A single spec, of either
+kind, is marched in real Hermitian coordinates with the emitted energy as
+a 17th component, so it stays Hermitian with no re-Hermitization: each
+step is v + D v, with the real RK4 increment maps D built :data:`CHUNK`
+steps at a time.  A batch of time-independent bidirectional specs is
+advanced as one (N,4,4) stack, re-Hermitized after every step, with the
+same operations per cell, so a cell gets the same bits in any batch, batch
+of one included.  Snapshots are checked for finiteness and positivity
+once, after the run.
 """
 from __future__ import annotations
 
@@ -19,12 +20,11 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .liouville import (
-    BIDIRECTIONAL,
     LiouvillianSpec,
     SimulationError,
-    cascaded_generators,
     coordinates,
     density_matrices,
+    generators,
     make_generator,
     validate_density_matrix,
 )
@@ -32,7 +32,7 @@ from .liouville import (
 DEFAULT_DT = 0.005  # resolves the fastest rate scales used here with wide margin
 MAX_STEPS = 10**7  # a window needing more steps is a configuration error, not a long run
 EIG_FLOOR = 1e-6  # a snapshot eigenvalue below -EIG_FLOOR is a positivity failure
-CHUNK = 64  # cascaded steps whose RK4 increments are built at once: a real (64,17,17) stack, 148 kB
+CHUNK = 64  # single-spec steps whose RK4 increments are built at once: a real (64,17,17) stack, 148 kB
 
 
 class PositivityError(SimulationError):
@@ -80,8 +80,8 @@ class ChargingTrajectory:
 
     ``states`` is (T,4,4) for a single spec and (N,T,4,4) for a batch of
     N specs, whose ``max_trace_drift`` and ``min_eigenvalue`` are then
-    per-cell arrays.  For a cascaded spec ``aux`` holds the integrated
-    emitted flux at the snapshot times; otherwise it is None.
+    per-cell arrays.  For a single spec ``aux`` holds the energy emitted
+    into the waveguide by each snapshot time; for a batch it is None.
     """
 
     times: np.ndarray
@@ -157,14 +157,14 @@ def _stage(L, A, c):
     return np.add(np.multiply(out, c, out=out), L, out=out)
 
 
-def _march_cascaded(spec, rho0, aux0, grid, n_full, rem, snaps):
-    """RK4 on (real coordinates of rho, emitted flux), one matvec per step.
+def _march_single(spec, rho0, aux0, grid, n_full, rem, snaps):
+    """RK4 on (real coordinates of rho, emitted energy), one matvec per step.
 
     The increment maps D = h/6 (L1 + 2 A2 + 2 A3 + A4) of CHUNK steps at a
     time are built from the generators at the stage times t, t + h/2, t + h:
     A2 = L2 (I + h/2 L1), A3 = L2 (I + h/2 A2) and A4 = L4 (I + h A3).  Each
     step is v + D v, and only the trace is renormalized.  Returns the
-    (1,T,4,4) snapshots, the (T,) emitted flux and the maximum trace drift.
+    (1,T,4,4) snapshots, the (T,) emitted energy and the maximum trace drift.
     """
     v = np.append(coordinates(rho0), aux0)
     out = np.empty((len(snaps), 17))
@@ -174,7 +174,7 @@ def _march_cascaded(spec, rho0, aux0, grid, n_full, rem, snaps):
         i = np.arange(start, min(start + CHUNK, snaps[-1]))
         t = grid.t_start + i * grid.dt
         h = np.where(i < n_full, grid.dt, rem)
-        L1, L2, L4 = cascaded_generators(spec, np.stack([t, t + 0.5 * h, t + h]))
+        L1, L2, L4 = generators(spec, np.stack([t, t + 0.5 * h, t + h]))
         h = h[:, None, None]
         A2 = _stage(L2, L1, 0.5 * h)
         A3 = _stage(L2, A2, 0.5 * h)
@@ -196,7 +196,8 @@ def _march_cascaded(spec, rho0, aux0, grid, n_full, rem, snaps):
                 out[k] = v
                 k += 1
     out[-1] = v
-    return density_matrices(out[None, :, :16]), out[:, 16], np.array([drift_max])
+    # the flux is copied out, so the (T,17) array is freed before the snapshot check
+    return density_matrices(out[None, :, :16]), out[:, 16].copy(), np.array([drift_max])
 
 
 def evolve(
@@ -209,10 +210,11 @@ def evolve(
     """Integrate the master equation over the grid.
 
     ``spec`` is one spec, or a sequence of N time-independent bidirectional
-    specs integrated as one (N,4,4) stack from the common ``rho0``; every
-    cell of the stack gets the bits it would get alone.  A cascaded spec
-    integrates its emitted flux Tr[L^dag L rho] into ``traj.aux``, starting
-    from ``aux0``.  ``aux`` takes no value but None: there is no
+    specs integrated as one (N,4,4) stack from the common ``rho0``; a cell
+    gets the same bits in any batch, batch of one included.  A single spec
+    is marched in real coordinates and integrates the energy it emits into
+    the waveguide, Tr[L^dag L rho] for a cascaded spec, into ``traj.aux``,
+    starting from ``aux0``.  ``aux`` takes no value but None: there is no
     co-integrated callback.
 
     Raises :class:`PositivityError` if any recorded state has an eigenvalue
@@ -220,7 +222,6 @@ def evolve(
     errors name the failing time.
     """
     single = isinstance(spec, LiouvillianSpec)
-    cascaded = single and spec.dissipator_kind != BIDIRECTIONAL
     if aux is not None:
         raise ValueError("evolve co-integrates no aux callback; pass aux=None")
     validate_density_matrix(rho0)
@@ -237,10 +238,10 @@ def evolve(
     times[-1] = grid.t_end
     # a state that blows up keeps stepping quietly; the snapshot check names it
     with np.errstate(all="ignore"):
-        if cascaded:
-            states, aux_vals, drift_max = _march_cascaded(spec, rho0, aux0, grid, n_full, rem, snaps)
+        if single:
+            states, aux_vals, drift_max = _march_single(spec, rho0, aux0, grid, n_full, rem, snaps)
         else:
-            rho = np.repeat(np.array(rho0, dtype=complex)[None], 1 if single else len(spec), axis=0)
+            rho = np.repeat(np.array(rho0, dtype=complex)[None], len(spec), axis=0)
             states, drift_max = _march_stack(make_generator(spec), rho, grid, n_full, rem, snaps)
             aux_vals = None
 

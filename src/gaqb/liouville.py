@@ -12,7 +12,7 @@ Two dissipator structures are supported: the bidirectional generator
 cascaded chiral generator (a single right- or left-passing collective jump
 operator, with the matching anti-Hermitian exchange term in the
 Hamiltonian).  The bare transition frequency is rotated away; only the
-Lamb shifts appear in the coherent part.  The cascaded generator is a real
+Lamb shifts appear in the coherent part.  Either kind's generator is a real
 17x17 matrix on real Hermitian coordinates of rho, with the emitted flux
 as a 17th component, so a state marched in them stays Hermitian.
 """
@@ -213,36 +213,44 @@ def density_matrices(x: np.ndarray) -> np.ndarray:
     return (x @ _P[:16, :16].T).reshape(*x.shape[:-1], 4, 4)
 
 
-# the cascaded generator is sum_k c_k B_k with coefficients
-# (kappa_a, kappa_b, sqrt(kappa_a kappa_b), delta_a, delta_b, +/-|g_ab|):
+# either generator is sum_k c_k B_k over one fixed real basis, each B_k a
+# real Q B P.  Bidirectional: (Gamma_a, Gamma_b, Gamma_coll, delta_a,
+# delta_b, 0, g_ab).  Cascaded: (kappa_a, kappa_b, sqrt(kappa_a kappa_b),
+# delta_a, delta_b, +/-|g_ab|, 0), since
 # D[L] = kappa_a D[sigma_a] + kappa_b D[sigma_b] + sqrt(kappa_a kappa_b) D[sigma_a, sigma_b]
-# for L = i (sqrt(kappa_a) sigma_a^- + sqrt(kappa_b) sigma_b^-), and the
-# flux row Tr[L^dag L rho] splits the same way; each B_k is a real Q B P
-_CASCADED_BASIS = (_Q @ np.stack([
+# for L = i (sqrt(kappa_a) sigma_a^- + sqrt(kappa_b) sigma_b^-).  The flux
+# row (the emitted energy) splits over the dissipators the same way.
+_BASIS = (_Q @ np.stack([
     _superoperator(lambda rho: dissipator(SIGMA_MINUS_A, rho), NUMBER_A),
     _superoperator(lambda rho: dissipator(SIGMA_MINUS_B, rho), NUMBER_B),
     _superoperator(lambda rho: cross_dissipator(SIGMA_MINUS_A, SIGMA_MINUS_B, rho), EXCHANGE),
     _superoperator(_commutator(NUMBER_A)),
     _superoperator(_commutator(NUMBER_B)),
     _superoperator(_commutator(EXCHANGE_CHIRAL)),
-]) @ _P).real.reshape(6, 17 * 17)
+    _superoperator(_commutator(EXCHANGE)),
+]) @ _P).real.reshape(7, 17 * 17)
 
 
-def cascaded_generators(spec: LiouvillianSpec, times) -> np.ndarray:
-    """Real generators of a cascaded spec at each of an array of times, (..., 17, 17).
+def generators(spec: LiouvillianSpec, times) -> np.ndarray:
+    """Real generators of a spec at each of an array of times, (..., 17, 17).
 
-    The 16x16 block maps the :func:`coordinates` of rho to those of
-    -i[H, rho] + D[L] rho; row 16 is the emitted flux Tr[L^dag L rho].  All
-    times are one matmul of their six coefficients with the fixed basis.
+    The 16x16 block maps the :func:`coordinates` of rho to those of its
+    time derivative; row 16 is the rate at which energy leaves the atoms
+    into the waveguide.  All times are one matmul of their seven
+    coefficients with the fixed basis.
     """
     p = spec.params_at(times)
-    ka = 0.5 * np.maximum(p.Gamma_a, 0.0)
-    kb = 0.5 * np.maximum(p.Gamma_b, 0.0)
-    sign = 1.0 if spec.dissipator_kind == CASCADED_RIGHT else -1.0
-    coeffs = np.empty((*np.shape(times), 6))
-    for k, c in enumerate((ka, kb, np.sqrt(ka * kb), p.delta_a, p.delta_b, sign * np.abs(p.g_ab))):
-        coeffs[..., k] = c
-    return (coeffs @ _CASCADED_BASIS).reshape(*coeffs.shape[:-1], 17, 17)
+    if spec.dissipator_kind == BIDIRECTIONAL:
+        coeffs = (p.Gamma_a, p.Gamma_b, p.Gamma_coll, p.delta_a, p.delta_b, 0.0, p.g_ab)
+    else:
+        ka = 0.5 * np.maximum(p.Gamma_a, 0.0)
+        kb = 0.5 * np.maximum(p.Gamma_b, 0.0)
+        sign = 1.0 if spec.dissipator_kind == CASCADED_RIGHT else -1.0
+        coeffs = (ka, kb, np.sqrt(ka * kb), p.delta_a, p.delta_b, sign * np.abs(p.g_ab), 0.0)
+    c = np.empty((*np.shape(times), 7))
+    for k, value in enumerate(coeffs):
+        c[..., k] = value
+    return (c @ _BASIS).reshape(*c.shape[:-1], 17, 17)
 
 
 def _bidirectional_parts(spec: LiouvillianSpec):
@@ -263,8 +271,7 @@ def make_generator(
     The returned function computes drho/dt = K rho + rho K^dag + jumps,
     where K folds the Hamiltonian and the anticommutator halves together.
     It maps a 4x4 state, or an (N,4,4) stack, to its derivative.  A
-    cascaded spec raises ValueError: its generator is
-    :func:`cascaded_generators`.
+    cascaded spec raises ValueError: its generator is :func:`generators`.
 
     ``spec`` may also be a sequence of N bidirectional specs; the closure
     then advances an (N,4,4) stack, cell i under spec i.  Each cell sees
@@ -274,7 +281,7 @@ def make_generator(
     """
     single = isinstance(spec, LiouvillianSpec)
     if any(s.dissipator_kind != BIDIRECTIONAL for s in ([spec] if single else spec)):
-        raise ValueError("make_generator takes bidirectional specs; see cascaded_generators")
+        raise ValueError("make_generator takes bidirectional specs; see generators")
     if single:
         K, rates = _bidirectional_parts(spec)
     else:
@@ -309,10 +316,7 @@ def make_generator(
 def rhs(spec: LiouvillianSpec, t: float, rho: np.ndarray) -> np.ndarray:
     """drho/dt for a validated input state. Traceless, Hermiticity-preserving.
 
-    A cascaded spec applies the state block of :func:`cascaded_generators`.
+    Applies the state block of :func:`generators` to the coordinates of rho.
     """
     validate_density_matrix(rho)
-    rho = np.asarray(rho, dtype=complex)
-    if spec.dissipator_kind == BIDIRECTIONAL:
-        return make_generator(spec)(t, rho)
-    return density_matrices(cascaded_generators(spec, t)[:16, :16] @ coordinates(rho))
+    return density_matrices(generators(spec, t)[:16, :16] @ coordinates(rho))

@@ -146,7 +146,9 @@ def test_write_csv_matches_per_value_format():
     edge = [0.0, -0.0, 5e-324, -5e-324, 1e22, 1.0 / 3.0, math.pi, 1e-310, -1e300, 2.0**53 + 1]
     scaled = rng.normal(size=(20, 6)) * 10.0 ** rng.integers(-30, 30, size=(20, 6))
     table = np.vstack([np.reshape(edge * 3, (5, 6)), scaled])
-    for rows in (table, [tuple(r) for r in table.tolist()]):
+    # params rows are tuples of a numpy theta and Python floats
+    params_rows = [(r[0], *r[1:].tolist()) for r in table]
+    for rows in (table, [tuple(r) for r in table.tolist()], params_rows):
         out = io.StringIO()
         write_csv(out, ("a", "b", "c", "d", "e", "f"), rows, ["k = v"])
         want = "".join(",".join(_fmt(v) for v in row) + "\n" for row in table)

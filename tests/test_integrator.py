@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from gaqb.integrator import (
     evolve,
 )
 from gaqb.liouville import (
+    BIDIRECTIONAL,
     EXCHANGE,
     NUMBER_A,
     NUMBER_B,
@@ -28,6 +30,7 @@ from gaqb.liouville import (
     SIGMA_MINUS_B,
     LiouvillianSpec,
     StateValidationError,
+    cross_dissipator,
     dissipator,
     effective_hamiltonian,
     jump_operator,
@@ -176,23 +179,35 @@ def test_matches_exact_propagator():
 
 
 def test_aux_callback_rejected():
-    # no co-integrated callback: only a cascaded spec's emitted flux fills traj.aux
+    # no co-integrated callback: a single run's emitted energy fills traj.aux,
+    # and a batch has none
     spec = spec_for(math.pi / 2)
     for other in (spec, [spec], chiral_spec(ChiralProtocol(gamma_max=0.1, tau=10.0))):
         with pytest.raises(ValueError, match="no aux callback"):
             evolve(other, EG, TimeGrid(0.0, 1.0, dt=0.02), aux=lambda t, rho: 0.0)
-    assert evolve(spec, EG, TimeGrid(0.0, 1.0, dt=0.02), aux=None).aux is None
+    grid = TimeGrid(0.0, 1.0, dt=0.02)
+    assert evolve([spec], EG, grid, aux=None).aux is None
+    assert evolve(spec, EG, grid, aux=None).aux.shape == (51,)
 
 
 def per_stage_rk4(spec, rho, grid):
-    """Complex 4x4 RK4 with H, L and the flux rebuilt at every stage time,
-    stepping as evolve does (full steps, then one short step onto t_end).
-    Returns the states and emitted flux after every step."""
+    """Complex 4x4 RK4 with H, the dissipators and the emitted-energy rate
+    rebuilt at every stage time, stepping as evolve does (full steps, then
+    one short step onto t_end).  Returns the states and emitted energy
+    after every step."""
 
     def f(t, r):
         H = effective_hamiltonian(spec, t)
-        L = jump_operator(spec.params_at(t), spec.dissipator_kind)
-        return -1j * (H @ r - r @ H) + dissipator(L, r), np.trace(L.conj().T @ L @ r).real
+        p = spec.params_at(t)
+        if spec.dissipator_kind == BIDIRECTIONAL:
+            sa, sb = SIGMA_MINUS_A, SIGMA_MINUS_B
+            jumps = (p.Gamma_a * dissipator(sa, r) + p.Gamma_b * dissipator(sb, r)
+                     + p.Gamma_coll * cross_dissipator(sa, sb, r))
+            loss = p.Gamma_a * NUMBER_A + p.Gamma_b * NUMBER_B + p.Gamma_coll * EXCHANGE
+        else:
+            L = jump_operator(p, spec.dissipator_kind)
+            jumps, loss = dissipator(L, r), L.conj().T @ L
+        return -1j * (H @ r - r @ H) + jumps, np.trace(loss @ r).real
 
     n_full = int(math.floor((grid.t_end - grid.t_start) / grid.dt + 1e-9))
     rem = grid.t_end - grid.t_start - n_full * grid.dt
@@ -267,30 +282,107 @@ def reference_step(spec, rho, h):
     return rho
 
 
+# zero-rate (braided pi/2, separated pi) and dissipative cells, mirror pairs included
+MIXED_SPECS = [spec_for(math.pi / 2), spec_for(1.1, topo=NESTED),
+               spec_for(2 * math.pi - 1.1, topo=NESTED), spec_for(math.pi, topo=SEPARATED),
+               spec_for(0.3, topo=SEPARATED)]
+MIXED_GRID = TimeGrid(0.0, 3.0, dt=0.07, sample_stride=4)  # 42 full steps plus 0.06
+
+
 def test_batch_matches_per_cell_path_bitwise():
-    # zero-rate (braided pi/2, separated pi) and dissipative cells, mirror
-    # pairs included, from a mixed state with coherences in every entry
-    rng = np.random.default_rng(5)
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    rho0 = a @ a.conj().T
-    rho0 /= rho0.trace().real
-    specs = [spec_for(math.pi / 2), spec_for(1.1, topo=NESTED),
-             spec_for(2 * math.pi - 1.1, topo=NESTED), spec_for(math.pi, topo=SEPARATED),
-             spec_for(0.3, topo=SEPARATED)]
-    grid = TimeGrid(0.0, 3.0, dt=0.07, sample_stride=4)  # 42 full steps plus 0.06
-    batch = evolve(specs, rho0, grid)
+    # from a mixed state with coherences in every entry
+    rho0 = random_density(np.random.default_rng(5))
+    batch = evolve(MIXED_SPECS, rho0, MIXED_GRID)
     assert batch.states.shape == (5, len(batch.times), 4, 4)
     assert batch.max_trace_drift.shape == batch.min_eigenvalue.shape == (5,)
-    for i, spec in enumerate(specs):
-        alone = evolve(spec, rho0, grid)
-        assert alone.states.shape == batch.states.shape[1:]
-        assert (alone.states.view(np.uint64) == batch.states[i].view(np.uint64)).all()
-        assert alone.max_trace_drift == batch.max_trace_drift[i]
+    for i, spec in enumerate(MIXED_SPECS):
+        alone = evolve([spec], rho0, MIXED_GRID)
+        assert alone.states.shape == (1, *batch.states.shape[1:])
+        assert (alone.states[0].view(np.uint64) == batch.states[i].view(np.uint64)).all()
+        assert alone.max_trace_drift[0] == batch.max_trace_drift[i]
         rho = np.array(rho0, dtype=complex)
         for _ in range(42):
             rho = reference_step(spec, rho, 0.07)
         rho = reference_step(spec, rho, 3.0 - 42 * 0.07)
-        assert (rho.view(np.uint64) == alone.states[-1].view(np.uint64)).all()
+        assert (rho.view(np.uint64) == batch.states[i, -1].view(np.uint64)).all()
+
+
+def test_bidirectional_general_state_matches_per_stage_rk4():
+    # a single run marches real coordinates: every Delta n block of a
+    # full-rank state, and the emitted energy as a 17th component
+    rho0 = random_density(np.random.default_rng(5))
+    steps = [0, *range(4, 43, 4), 43]
+    for spec in MIXED_SPECS:
+        traj = evolve(spec, rho0, MIXED_GRID)
+        oracle, flux = per_stage_rk4(spec, rho0, MIXED_GRID)
+        assert traj.step_count == 43
+        assert np.abs(traj.states - oracle[steps]).max() <= 1e-13
+        assert np.abs(traj.aux - flux[steps]).max() <= 1e-13
+        assert np.array_equal(traj.states, traj.states.conj().swapaxes(-1, -2))
+
+
+def test_single_run_energy_ledger():
+    # stored excitation n_a + n_b plus the energy emitted into the waveguide
+    # stays at the one excitation of |eg>
+    grid = TimeGrid(0.0, 100.0, dt=0.01, sample_stride=50)
+    for topo, theta in itertools.product((BRAIDED, SEPARATED, NESTED), (0.4, 1.3, math.pi / 2, 2.2)):
+        traj = evolve(spec_for(theta, topo=topo), EG, grid)
+        pops = np.diagonal(traj.states, axis1=1, axis2=2).real
+        ledger = pops[:, 2] + pops[:, 1] + 2.0 * pops[:, 3] + traj.aux
+        assert np.abs(ledger - 1.0).max() <= 1e-12, (topo.variant, theta)
+
+
+def long_double_rk4(specs, h, n_steps, stride):
+    """p_a and p_b after every stride-th step of RK4 from |eg>, in long double.
+
+    From |eg> the state stays in the one-excitation block R over (|eg>, |ge>)
+    plus |gg>, and dR/dt = K R + R K^dag with K = -i H_eff,
+    H_eff = [[delta_a - i Gamma_a/2, g_ab - i Gamma_coll/2],
+             [g_ab - i Gamma_coll/2, delta_b - i Gamma_b/2]].
+    R is marched in its real coordinates (R_aa, R_bb, Re R_ab, Im R_ab).
+    """
+    ld = np.longdouble
+    K = np.zeros((len(specs), 2, 2), dtype=np.clongdouble)
+    for k, spec in enumerate(specs):
+        p = spec.params
+        off = ld(p.g_ab) - 0.5j * ld(p.Gamma_coll)
+        H = [[ld(p.delta_a) - 0.5j * ld(p.Gamma_a), off], [off, ld(p.delta_b) - 0.5j * ld(p.Gamma_b)]]
+        K[k] = -1j * np.array(H, dtype=np.clongdouble)
+    basis = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [1, 0]], [[0, 1j], [-1j, 0]]],
+                     dtype=np.clongdouble)
+    images = K[:, None] @ basis + basis @ K[:, None].conj().swapaxes(-1, -2)  # (N,4,2,2)
+    G = np.stack([images[..., 0, 0].real, images[..., 1, 1].real,
+                  images[..., 0, 1].real, images[..., 0, 1].imag], axis=-2)  # (N,4,4)
+    x = np.zeros((len(specs), 4, 1), dtype=ld)
+    x[:, 0] = 1
+    out = [x[:, :2, 0].copy()]
+    for step in range(1, n_steps + 1):
+        k1 = G @ x
+        k2 = G @ (x + (h / 2) * k1)
+        k3 = G @ (x + (h / 2) * k2)
+        k4 = G @ (x + h * k3)
+        x = x + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if step % stride == 0:
+            out.append(x[:, :2, 0].copy())
+    return np.stack(out, axis=1)  # (N,T,2): p_a, p_b
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                    reason="np.longdouble is no wider than double here; the oracle needs eps < 1e-18")
+def test_single_runs_match_long_double_rk4():
+    # the rounding of the float64 march against the same RK4 recursion in
+    # long double, on and off the decoherence-free points
+    cells = [(BRAIDED, math.pi / 2), (BRAIDED, 0.4), (SEPARATED, math.pi), (SEPARATED, 1.3),
+             (NESTED, 1.1), (NESTED, 2.2)]
+    specs = [spec_for(theta, topo=topo) for topo, theta in cells]
+    grid = TimeGrid(0.0, 100.0, dt=0.005, sample_stride=50)
+    oracle = long_double_rk4(specs, np.longdouble(grid.dt), 20000, 50)
+    for spec, want in zip(specs, oracle):
+        traj = evolve(spec, EG, grid)
+        assert traj.step_count == 20000 and len(traj.times) == 401
+        recs = compute_records(traj)
+        got = np.stack([recs.p_a, recs.p_b], axis=-1)
+        assert np.abs(got - want).max() <= 1e-13
 
 
 def test_grid_validation():

@@ -10,6 +10,9 @@ from gaqb.geometry import (
 )
 from gaqb.liouville import (
     BIDIRECTIONAL,
+    EXCHANGE,
+    NUMBER_A,
+    NUMBER_B,
     SIGMA_MINUS_A,
     SIGMA_MINUS_B,
     SIGMA_PLUS_A,
@@ -18,12 +21,12 @@ from gaqb.liouville import (
     CASCADED_RIGHT,
     LiouvillianSpec,
     StateValidationError,
-    cascaded_generators,
     coordinates,
     cross_dissipator,
     density_matrices,
     dissipator,
     effective_hamiltonian,
+    generators,
     jump_operator,
     ket,
     make_generator,
@@ -174,11 +177,14 @@ def test_rhs_braided_df_pure_commutator():
 
 
 def test_rhs_matches_textbook_composition():
-    # K-form assembly against the explicit dissipator composition
+    # real-basis assembly against the explicit dissipator composition; row
+    # 16 of the generator is the rate of energy emission, Tr[loss rho]
     spec = spec_for(BRAIDED, 0.7)
     p = spec.params
     sa, sb = sigma_minus("a"), sigma_minus("b")
     H = effective_hamiltonian(spec)
+    loss = p.Gamma_a * NUMBER_A + p.Gamma_b * NUMBER_B + p.Gamma_coll * EXCHANGE
+    emitted = generators(spec, 0.0)[16]
     for _ in range(10):
         rho = random_density(RNG)
         expected = (
@@ -188,6 +194,7 @@ def test_rhs_matches_textbook_composition():
             + p.Gamma_coll * cross_dissipator(sa, sb, rho)
         )
         np.testing.assert_allclose(rhs(spec, 0.0, rho), expected, atol=1e-14)
+        assert abs(emitted @ np.append(coordinates(rho), 0.0) - np.trace(loss @ rho)) <= 1e-14
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.dissipator_kind)
@@ -240,13 +247,13 @@ def test_real_coordinates_round_trip():
 def test_cascaded_superoperator_matches_textbook(theta, direction):
     spec = chiral_spec(ChiralProtocol(gamma_max=0.1, tau=50.0, theta=theta, direction=direction))
     ts = np.array([0.0, 30.0, 50.0, 80.0])  # rising, on and past the kink, falling
-    G = cascaded_generators(spec, ts)
+    G = generators(spec, ts)
     assert G.shape == (4, 17, 17) and G.dtype == np.float64  # real coordinates
     assert not G[:, :, 16].any()  # the flux never feeds back
     for t, g in zip(ts.tolist(), G):
         H = effective_hamiltonian(spec, t)
         L = jump_operator(spec.params_at(t), spec.dissipator_kind)
-        assert np.abs(g - cascaded_generators(spec, t)).max() <= 1e-15
+        assert np.abs(g - generators(spec, t)).max() <= 1e-15
         for _ in range(10):
             rho = random_density(RNG)
             expected = -1j * (H @ rho - rho @ H) + dissipator(L, rho)
@@ -337,5 +344,5 @@ def test_spec_validation():
         LiouvillianSpec(p, dissipator_kind="sideways")
     with pytest.raises(ValueError):
         LiouvillianSpec(lambda t: p, dissipator_kind=BIDIRECTIONAL)
-    with pytest.raises(ValueError, match="bidirectional"):  # its generator is cascaded_generators
+    with pytest.raises(ValueError, match="bidirectional"):  # a cascaded spec goes through generators
         make_generator(cascaded_spec())

@@ -159,21 +159,24 @@ def test_metric_arrays_match_per_state_functions_bitwise():
     assert cells.shape == batch.states.shape[:2]
     fields = ("t", "E", "ergotropy", "sigma", "power", "energy_power", "p_a", "p_b", "purity")
     assert cells.dtype.names == fields
-    for i, spec in enumerate(specs):
-        traj = evolve(spec, projector("eg"), grid)
-        recs = compute_records(traj)
-        b0 = partial_trace_battery(traj.states[0])
+
+    def per_state(times, states):
+        b0 = partial_trace_battery(states[0])
         expected = []
-        for t, rho in zip(traj.times, traj.states):
+        for t, rho in zip(times, states):
             b = partial_trace_battery(rho)
             erg = ergotropy(b)
-            elapsed = t - traj.times[0]
+            elapsed = t - times[0]
             expected.append((float(t), energy(b), erg, fluctuation(b, b0),
                              average_power(erg, elapsed),
                              energy(b) / elapsed if elapsed > 0.0 else 0.0,
                              charger_population(rho), b.p, purity(rho)))
+        return np.array(expected).view(np.uint64)
+
+    for i, spec in enumerate(specs):
+        traj = evolve(spec, projector("eg"), grid)
+        recs = compute_records(traj)
         got = np.stack([recs[f] for f in fields], axis=-1)
-        want = np.array(expected)
-        assert (got.view(np.uint64) == want.view(np.uint64)).all()
+        assert (got.view(np.uint64) == per_state(traj.times, traj.states)).all()
         batched = np.stack([cells[f][i] for f in fields], axis=-1)
-        assert (batched.view(np.uint64) == want.view(np.uint64)).all()
+        assert (batched.view(np.uint64) == per_state(batch.times, batch.states[i])).all()
