@@ -67,6 +67,8 @@ class RunConfig:
 
 _FIELD_TYPES = get_type_hints(RunConfig)
 _NUMBER_KINDS = {int: "an integer", float: "a number"}
+_THETA_LIMIT = sys.float_info.max / 3.0  # the coefficients take sin and cos of up to 3 theta
+_CSV_BLOCK = 256  # CSV rows formatted by one % operation
 
 
 def _parse_value(key: str, raw: str, where: str):
@@ -110,6 +112,9 @@ def validate_config(cfg: RunConfig) -> RunConfig:
     for name, kind in _FIELD_TYPES.items():
         if kind is float and not math.isfinite(getattr(cfg, name)):
             raise ConfigError(f"{name} must be finite")
+    for name in ("theta", "theta_min", "theta_max"):
+        if abs(getattr(cfg, name)) > _THETA_LIMIT:
+            raise ConfigError(f"|{name}| must be at most {_THETA_LIMIT:.6g}, got {getattr(cfg, name):g}")
     if cfg.gamma < 0:
         raise ConfigError("gamma must be >= 0")
     if cfg.tmax <= 0 or cfg.dt <= 0:
@@ -162,8 +167,10 @@ def _fmt(x) -> str:
 def write_csv(stream, header, rows, summary_lines=()):
     stream.write(",".join(header) + "\n")
     row_fmt = ",".join(["%.17g"] * len(header)) + "\n"  # _fmt's format
-    for row in np.asarray(rows, dtype=float).tolist():  # Python floats format fastest
-        stream.write(row_fmt % tuple(row))
+    rows = np.asarray(rows, dtype=float)
+    for start in range(0, len(rows), _CSV_BLOCK):  # as Python floats, which format fastest
+        block = rows[start:start + _CSV_BLOCK]
+        stream.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
     for line in summary_lines:
         stream.write("# " + line + "\n")
 

@@ -4,17 +4,18 @@ Identical inputs produce bit-identical trajectories, and the trace is
 renormalized only if its drift exceeds 1e-12.  A single spec, of either
 kind, is marched in real Hermitian coordinates with the emitted energy as
 a 17th component, so it stays Hermitian with no re-Hermitization: each
-step is v + D v, with the real RK4 increment maps D built :data:`CHUNK`
-steps at a time.  A batch of time-independent bidirectional specs is
-advanced as one (N,4,4) stack, re-Hermitized after every step, with the
-same operations per cell, so a cell gets the same bits in any batch, batch
-of one included.  Snapshots are checked for finiteness and positivity
-once, after the run.
+step is v + D v with a real RK4 increment map D: one per step size for a
+time-independent spec, :data:`CHUNK` steps' maps at a time otherwise.  A
+batch of time-independent bidirectional specs is advanced as one (N,4,4)
+stack, re-Hermitized after every step, with the same operations per
+cell, so a cell gets the same bits in any batch, batch of one included.
+Snapshots are checked for finiteness and positivity once, after the run.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -32,7 +33,7 @@ from .liouville import (
 DEFAULT_DT = 0.005  # resolves the fastest rate scales used here with wide margin
 MAX_STEPS = 10**7  # a window needing more steps is a configuration error, not a long run
 EIG_FLOOR = 1e-6  # a snapshot eigenvalue below -EIG_FLOOR is a positivity failure
-CHUNK = 64  # single-spec steps whose RK4 increments are built at once: a real (64,17,17) stack, 148 kB
+CHUNK = 64  # time-dependent steps whose RK4 increments are built at once: a real (64,17,17) stack, 148 kB
 
 
 class PositivityError(SimulationError):
@@ -160,20 +161,15 @@ def _stage(L, A, c):
 def _march_single(spec, rho0, aux0, grid, n_full, rem, snaps):
     """RK4 on (real coordinates of rho, emitted energy), one matvec per step.
 
-    The increment maps D = h/6 (L1 + 2 A2 + 2 A3 + A4) of CHUNK steps at a
-    time are built from the generators at the stage times t, t + h/2, t + h:
-    A2 = L2 (I + h/2 L1), A3 = L2 (I + h/2 A2) and A4 = L4 (I + h A3).  Each
-    step is v + D v, and only the trace is renormalized.  Returns the
-    (1,T,4,4) snapshots, the (T,) emitted energy and the maximum trace drift.
+    A step's increment map D = h/6 (L1 + 2 A2 + 2 A3 + A4) is built from the
+    generators at the stage times t, t + h/2, t + h: A2 = L2 (I + h/2 L1),
+    A3 = L2 (I + h/2 A2) and A4 = L4 (I + h A3); a time-independent spec has
+    one per step size, a time-dependent one CHUNK at a time.  Each step is
+    v + D v, and only the trace is renormalized.  Returns the (1,T,4,4)
+    snapshots, the (T,) emitted energy and the maximum trace drift.
     """
-    v = np.append(coordinates(rho0), aux0)
-    out = np.empty((len(snaps), 17))
-    out[0] = v
-    drift_max, k = 0.0, 1
-    for start in range(0, snaps[-1], CHUNK):
-        i = np.arange(start, min(start + CHUNK, snaps[-1]))
-        t = grid.t_start + i * grid.dt
-        h = np.where(i < n_full, grid.dt, rem)
+    def maps(i):  # the increment maps of steps i
+        t, h = grid.t_start + i * grid.dt, np.where(i < n_full, grid.dt, rem)
         L1, L2, L4 = generators(spec, np.stack([t, t + 0.5 * h, t + h]))
         h = h[:, None, None]
         A2 = _stage(L2, L1, 0.5 * h)
@@ -185,16 +181,28 @@ def _march_single(spec, rho0, aux0, grid, n_full, rem, snaps):
         incs += L1
         incs += A4
         incs *= h / 6.0
-        for step, d in enumerate(incs, start + 1):
-            v += d @ v
-            trace = sum(v[:4].tolist())
-            drift = abs(trace - 1.0)
-            drift_max = max(drift_max, drift)
-            if drift > 1e-12:
-                v[:16] /= trace
-            if step == snaps[k]:
-                out[k] = v
-                k += 1
+        return incs
+
+    n = snaps[-1]
+    if callable(spec.params):
+        steps = chain.from_iterable(maps(np.arange(s, min(s + CHUNK, n))) for s in range(0, n, CHUNK))
+    else:
+        D = maps(np.array([0, n_full]))  # the maps of a step of dt and of rem
+        steps = chain(repeat(D[0], n_full), D[1:n + 1 - n_full])
+    v = np.append(coordinates(rho0), aux0)
+    out = np.empty((len(snaps), 17))
+    out[0] = v
+    drift_max, k = 0.0, 1
+    for step, d in enumerate(steps, 1):
+        v += d @ v
+        trace = sum(v[:4].tolist())
+        drift = abs(trace - 1.0)
+        drift_max = max(drift_max, drift)
+        if drift > 1e-12:
+            v[:16] /= trace
+        if step == snaps[k]:
+            out[k] = v
+            k += 1
     out[-1] = v
     # the flux is copied out, so the (T,17) array is freed before the snapshot check
     return density_matrices(out[None, :, :16]), out[:, 16].copy(), np.array([drift_max])

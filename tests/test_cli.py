@@ -153,6 +153,10 @@ def test_write_csv_matches_per_value_format():
         write_csv(out, ("a", "b", "c", "d", "e", "f"), rows, ["k = v"])
         want = "".join(",".join(_fmt(v) for v in row) + "\n" for row in table)
         assert out.getvalue() == "a,b,c,d,e,f\n" + want + "# k = v\n"
+    # rows are formatted a block at a time: two full blocks and a partial one
+    out = io.StringIO()
+    write_csv(out, ("a", "b", "c", "d", "e", "f"), np.tile(table, (21, 1)))
+    assert out.getvalue() == "a,b,c,d,e,f\n" + want * 21
 
 
 def test_charge_command_columns_and_determinism(tmp_path):
@@ -272,6 +276,18 @@ def test_exit_code_usage_errors(capsys):
                  ["sweep", "--theta", "1"]):
         assert main(args) == 1
         assert f"unrecognized arguments: {' '.join(args[1:])}" in capsys.readouterr().err
+    # sin(2 theta) or sin(3 theta) would overflow; the error names the key
+    for args, key in ((["charge", "--theta", "1e308"], "theta"),
+                      (["params", "--theta-max", "1e308", "--theta-steps", "3"], "theta_max"),
+                      (["sweep", "--theta-max", "1e308", "--theta-steps", "3", "--tmax", "1"],
+                       "theta_max"),
+                      (["chiral", "--theta", "1e308"], "theta"),
+                      (["sweep", "--theta-min=-1e308", "--theta-steps", "3", "--tmax", "1"],
+                       "theta_min")):
+        assert main(args) == 1
+        assert f"gaqb: error: |{key}| must be at most 5.99231e+307" in capsys.readouterr().err
+    assert main(["charge", "--theta", "1e307", "--tmax", "1", "--stride", "200"]) == 0
+    assert capsys.readouterr().out.count("\n") == 3  # header, t = 0 and t = 1
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
