@@ -22,7 +22,7 @@ loses essentially the whole excitation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -97,15 +97,6 @@ def pitch_catch_rates(t, p: ChiralProtocol) -> Tuple[float, float]:
     return catch, pitch
 
 
-def left_decoupling_phases(theta: float, N: int) -> Tuple[float, float]:
-    """Per-atom coupling-point phase differences cancelling leftward emission.
-
-    Solves theta - theta^j = (2N + 1) pi for both atoms.
-    """
-    value = theta - (2 * N + 1) * math.pi
-    return value, value
-
-
 def chiral_coupling_params(t, p: ChiralProtocol) -> CouplingParams:
     """Master-equation coefficients of the chiral generator at time t.
 
@@ -138,12 +129,6 @@ def chiral_spec(p: ChiralProtocol) -> LiouvillianSpec:
     """Time-dependent cascaded LiouvillianSpec for the protocol."""
     kind = CASCADED_RIGHT if p.direction == RIGHT_TO_BATTERY else CASCADED_LEFT
     return LiouvillianSpec(lambda t: chiral_coupling_params(t, p), dissipator_kind=kind)
-
-
-def reverse_direction(p: ChiralProtocol) -> ChiralProtocol:
-    """Swap pitch/catch roles and the coherent term's sign; involutive."""
-    other = LEFT_TO_CHARGER if p.direction == RIGHT_TO_BATTERY else RIGHT_TO_BATTERY
-    return replace(p, direction=other)
 
 
 @dataclass(frozen=True)

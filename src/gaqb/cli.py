@@ -142,11 +142,6 @@ def validate_config(cfg: RunConfig) -> RunConfig:
     return cfg
 
 
-def load_config(path: str) -> RunConfig:
-    """RunConfig from a config file alone (defaults for unset keys)."""
-    return validate_config(replace(RunConfig(), **read_config_file(path)))
-
-
 def merge_config(file_path: Optional[str], overrides: dict) -> tuple[RunConfig, set]:
     """defaults < config file < explicitly given flags.
 
@@ -398,6 +393,7 @@ _FLAGS = {
     "--tau-scaled": {"type": float},
     "--direction": {"choices": ("right", "left")},
 }
+_NUMERIC_FLAGS = {flag for flag, kw in _FLAGS.items() if kw.get("type") in (int, float)}
 _GRID = ("--theta-min", "--theta-max", "--theta-steps")
 _RUN = ("--tmax", "--dt", "--stride")
 
@@ -427,9 +423,31 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _join_negative_values(argv):
+    """'--theta -1e-3' as '--theta=-1e-3'.
+
+    argparse reads a token that starts with '-' as a flag unless it looks
+    like -5 or -0.5, so '-1e-3' or '-inf' would leave the flag without its
+    value.  A numeric flag followed by a token that parses as a float takes
+    it as its value; the '=' spelling is read the same way on every Python.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] in _NUMERIC_FLAGS and arg.startswith("-"):
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + arg
+                continue
+        out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     try:
-        ns = build_parser().parse_args(argv)
+        ns = build_parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
         overrides = {k: v for k, v in vars(ns).items() if k not in ("command", "config")}
         cfg, explicit = merge_config(ns.config, overrides)
         if ns.command == "params":

@@ -46,11 +46,6 @@ BUILTIN_TOPOLOGIES = {
 }
 
 
-def custom_topology(x_a1: float, x_a2: float, x_b1: float, x_b2: float) -> Topology:
-    """Layout with arbitrary connection-point coordinates (units of d)."""
-    return Topology("custom", (float(x_a1), float(x_a2), float(x_b1), float(x_b2)))
-
-
 @dataclass(frozen=True)
 class CouplingLayout:
     """A topology plus the accumulated phase theta and bare per-point rate gamma."""

@@ -120,8 +120,8 @@ def _check_snapshots(times: np.ndarray, states: np.ndarray) -> np.ndarray:
     return eigs.min(axis=1)
 
 
-def _march_stack(gen, rho, grid, n_full, rem, snaps):
-    """RK4 on an (N,4,4) stack of states under the rhs ``gen``.
+def _march_stack(gen, rho, dt, n_full, rem, snaps):
+    """RK4 on an (N,4,4) stack of states under the time-independent rhs ``gen``.
 
     Each step is re-Hermitized and its trace renormalized.  Returns the
     (N,T,4,4) snapshots and the per-cell maximum trace drift.
@@ -131,11 +131,11 @@ def _march_stack(gen, rho, grid, n_full, rem, snaps):
     states[:, 0] = rho
     k = 1
     for i in range(snaps[-1]):
-        t, h = grid.t_start + i * grid.dt, grid.dt if i < n_full else rem
-        k1 = gen(t, rho)
-        k2 = gen(t + 0.5 * h, rho + (0.5 * h) * k1)
-        k3 = gen(t + 0.5 * h, rho + (0.5 * h) * k2)
-        k4 = gen(t + h, rho + h * k3)
+        h = dt if i < n_full else rem
+        k1 = gen(rho)
+        k2 = gen(rho + (0.5 * h) * k1)
+        k3 = gen(rho + (0.5 * h) * k2)
+        k4 = gen(rho + h * k3)
         rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         rho = 0.5 * (rho + rho.conj().swapaxes(1, 2))
         trace = rho.trace(0, 1, 2).real
@@ -250,7 +250,7 @@ def evolve(
             states, aux_vals, drift_max = _march_single(spec, rho0, aux0, grid, n_full, rem, snaps)
         else:
             rho = np.repeat(np.array(rho0, dtype=complex)[None], len(spec), axis=0)
-            states, drift_max = _march_stack(make_generator(spec), rho, grid, n_full, rem, snaps)
+            states, drift_max = _march_stack(make_generator(spec), rho, grid.dt, n_full, rem, snaps)
             aux_vals = None
 
     min_eig = _check_snapshots(times, states)
@@ -264,26 +264,3 @@ def evolve(
         min_eigenvalue=min_eig,
         step_count=n_steps,
     )
-
-
-def convergence_order(
-    spec: LiouvillianSpec,
-    rho0: np.ndarray,
-    t_end: float,
-    dt: float = 0.1,
-) -> float:
-    """Empirical Richardson order of the fixed-step method.
-
-    Integrates to ``t_end`` at dt, dt/2 and dt/4 and returns
-    log2(|rho_dt - rho_dt/2| / |rho_dt/2 - rho_dt/4|) measured in the max
-    norm of the final states.
-    """
-    finals = []
-    for k in range(3):
-        grid = TimeGrid(0.0, t_end, dt=dt / (2**k), sample_stride=10**9)
-        finals.append(evolve(spec, rho0, grid).states[-1])
-    e1 = float(np.abs(finals[0] - finals[1]).max())
-    e2 = float(np.abs(finals[1] - finals[2]).max())
-    if e2 == 0.0:
-        return float("inf")
-    return math.log2(e1 / e2)

@@ -64,15 +64,6 @@ def projector(label: str) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def sigma_minus(which_atom: str) -> np.ndarray:
-    """Lowering operator of atom 'a' or 'b', tensored with identity."""
-    if which_atom == "a":
-        return SIGMA_MINUS_A.copy()
-    if which_atom == "b":
-        return SIGMA_MINUS_B.copy()
-    raise ValueError(f"which_atom must be 'a' or 'b', got {which_atom!r}")
-
-
 # input-validation tolerances, looser than the construction-level
 # invariants so that integrator drift is tolerated
 HERM_TOL = 1e-10
@@ -263,31 +254,23 @@ def _bidirectional_parts(spec: LiouvillianSpec):
     return K, (p.Gamma_a, p.Gamma_b, p.Gamma_coll)
 
 
-def make_generator(
-    spec: Union[LiouvillianSpec, Sequence[LiouvillianSpec]],
-) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Compile a bidirectional spec into a fast rhs closure (no per-call validation).
+def make_generator(specs: Sequence[LiouvillianSpec]) -> Callable[[np.ndarray], np.ndarray]:
+    """Compile N bidirectional specs into a fast rhs closure (no per-call validation).
 
-    The returned function computes drho/dt = K rho + rho K^dag + jumps,
-    where K folds the Hamiltonian and the anticommutator halves together.
-    It maps a 4x4 state, or an (N,4,4) stack, to its derivative.  A
-    cascaded spec raises ValueError: its generator is :func:`generators`.
-
-    ``spec`` may also be a sequence of N bidirectional specs; the closure
-    then advances an (N,4,4) stack, cell i under spec i.  Each cell sees
-    the floating-point operations of its own single-spec closure: a jump
-    term is added only where its rate is nonzero, and skipped altogether
-    when no cell has it.
+    The returned function maps an (N,4,4) stack of states, cell i under
+    spec i, to drho/dt = K rho + rho K^dag + jumps, where K folds the
+    Hamiltonian and the anticommutator halves together.  The specs are
+    time-independent, so the closure takes no time.  A cascaded spec
+    raises ValueError: its generator is :func:`generators`.  Each cell sees
+    the same floating-point operations in any batch, batch of one
+    included: a jump term is added only where its rate is nonzero, and
+    skipped altogether when no cell has it.
     """
-    single = isinstance(spec, LiouvillianSpec)
-    if any(s.dissipator_kind != BIDIRECTIONAL for s in ([spec] if single else spec)):
+    if any(s.dissipator_kind != BIDIRECTIONAL for s in specs):
         raise ValueError("make_generator takes bidirectional specs; see generators")
-    if single:
-        K, rates = _bidirectional_parts(spec)
-    else:
-        parts = [_bidirectional_parts(s) for s in spec]
-        K = np.stack([k for k, _ in parts])
-        rates = np.array([r for _, r in parts]).T[:, :, None, None]  # (3, N, 1, 1)
+    parts = [_bidirectional_parts(s) for s in specs]
+    K = np.stack([k for k, _ in parts])
+    rates = np.array([r for _, r in parts]).T[:, :, None, None]  # (3, N, 1, 1)
 
     Kd = K.conj().swapaxes(-1, -2)
     # each atom's (ground, excited) rows of rho in the index 2 n_a + n_b:
@@ -300,7 +283,7 @@ def make_generator(
     jumps = [(g, np.not_equal(g, 0.0), xy) for g, xy in zip(rates, ((a, a), (b, b), (a, b)))
              if np.any(g != 0.0)]
 
-    def rhs_const(t, rho):
+    def rhs_const(rho):
         out = K @ rho + rho @ Kd
         for g, nonzero, (x, y) in jumps:  # g sigma_x^- rho sigma_y^+ (+ the x <-> y term)
             term = np.zeros_like(rho)

@@ -46,12 +46,6 @@ def charger_population(rho: np.ndarray) -> float:
     return float(rho[2, 2].real + rho[3, 3].real)
 
 
-def charger_state(rho: np.ndarray) -> np.ndarray:
-    """Reduced 2x2 state of the charger (trace over the battery)."""
-    rho = np.asarray(rho)
-    return rho[0::2, 0::2] + rho[1::2, 1::2]
-
-
 def energy(b: BatteryState) -> float:
     """Stored energy Tr[rho_B H_B] = p."""
     return b.p
@@ -62,12 +56,6 @@ def ergotropy(b: BatteryState) -> float:
     evals = np.linalg.eigvalsh(0.5 * (b.rho + b.rho.conj().T))  # ascending
     # descending populations paired with ascending levels (0, 1)
     return max(0.0, b.p - float(evals[0]))
-
-
-def ergotropy_closed_form(b: BatteryState) -> float:
-    """Qubit closed form p - 1/2 + sqrt((p - 1/2)^2 + |c|^2)."""
-    half = b.p - 0.5
-    return max(0.0, half + math.sqrt(half * half + abs(b.c) ** 2))
 
 
 def fluctuation(b_t: BatteryState, b_0: BatteryState) -> float:

@@ -10,11 +10,13 @@ the fluctuation sqrt(p (1 - p)) stays below sqrt(3)/4 = 0.4330.  Its test
 asserts 0.433 together with the identity and bound behind that reading.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gaqb.chiral import ChiralProtocol, default_grid, reverse_direction, run_transfer
+from conftest import charger_state, convergence_order
+from gaqb.chiral import LEFT_TO_CHARGER, ChiralProtocol, default_grid, run_transfer
 from gaqb.cli import RunConfig, _parabolic_peak, _sweep_cell, main
 from gaqb.geometry import (
     BRAIDED,
@@ -24,9 +26,9 @@ from gaqb.geometry import (
     closed_form_params,
     positional_params,
 )
-from gaqb.integrator import TimeGrid, convergence_order, evolve
+from gaqb.integrator import TimeGrid, evolve
 from gaqb.liouville import LiouvillianSpec, projector
-from gaqb.metrics import charger_state, compute_records, partial_trace_battery
+from gaqb.metrics import compute_records, partial_trace_battery
 
 
 def report(tag, ok, detail):
@@ -255,7 +257,7 @@ def test_c11_chiral_transfer(chiral_forward):
 
 def test_c12_chiral_reversal(chiral_forward):
     p, fwd, _ = chiral_forward
-    rev, s_rev = run_transfer(reverse_direction(p), grid=default_grid(p, dt=0.02))
+    rev, s_rev = run_transfer(replace(p, direction=LEFT_TO_CHARGER), grid=default_grid(p, dt=0.02))
     f, r = compute_records(fwd), compute_records(rev)
     dev = max(np.abs(r.p_a - f.p_b).max(), np.abs(r.p_b - f.p_a).max())
     ok = dev <= 1e-9 and s_rev.final_charger_energy >= 0.99

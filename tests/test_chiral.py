@@ -1,28 +1,30 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import charger_state
 from gaqb.chiral import (
+    LEFT_TO_CHARGER,
     RIGHT_TO_BATTERY,
     ChiralProtocol,
     chiral_coupling_params,
     chiral_spec,
     default_grid,
-    left_decoupling_phases,
     pitch_catch_rates,
     rate_profile,
-    reverse_direction,
     run_transfer,
 )
 from gaqb.geometry import CouplingParams
 from gaqb.integrator import TimeGrid, evolve
 from gaqb.liouville import CASCADED_RIGHT, LiouvillianSpec, jump_operator, projector
-from gaqb.metrics import charger_state, compute_records
+from gaqb.metrics import compute_records
 
 GMAX = 1.0
 TAU = 10.0
 PROTO = ChiralProtocol(gamma_max=GMAX, tau=TAU)
+REVERSED = replace(PROTO, direction=LEFT_TO_CHARGER)
 FAST_GRID = TimeGrid(0.0, 3 * TAU, dt=0.01, sample_stride=50)
 
 
@@ -56,10 +58,9 @@ def test_catch_mirrors_pitch_about_midpoint():
 
 
 def test_rates_swap_under_reversal():
-    rev = reverse_direction(PROTO)
     for t in (0.0, 3.0, TAU, 25.0):
         ga, gb = pitch_catch_rates(t, PROTO)
-        ga_r, gb_r = pitch_catch_rates(t, rev)
+        ga_r, gb_r = pitch_catch_rates(t, REVERSED)
         assert (ga_r, gb_r) == (gb, ga)
 
 
@@ -71,7 +72,7 @@ def scalar_rate_profile(t, gamma_max, tau):
     return gamma_max
 
 
-@pytest.mark.parametrize("proto", [PROTO, reverse_direction(PROTO),
+@pytest.mark.parametrize("proto", [PROTO, REVERSED,
                                    ChiralProtocol(gamma_max=GMAX, tau=TAU, theta=1.2),
                                    ChiralProtocol(gamma_max=10 * GMAX, tau=TAU)])
 def test_array_params_match_scalar_calls(proto):
@@ -90,16 +91,6 @@ def test_array_params_match_scalar_calls(proto):
             pitch, catch = catch, pitch
         assert (one.Gamma_a, one.Gamma_b) == (pitch, catch)
     assert arr.Gamma_coll == 0.0
-
-
-def test_left_decoupling_phases():
-    ta, tb = left_decoupling_phases(math.pi / 2, 0)
-    assert ta == tb == pytest.approx(-math.pi / 2)
-    ta, _ = left_decoupling_phases(math.pi / 2, -1)
-    assert ta == pytest.approx(3 * math.pi / 2)
-    for n in (-2, 0, 3):
-        ta, _ = left_decoupling_phases(math.pi, n)
-        assert math.pi - ta == pytest.approx((2 * n + 1) * math.pi)
 
 
 # --- spec construction --------------------------------------------------------
@@ -139,12 +130,6 @@ def test_protocol_validation():
         ChiralProtocol(gamma_max=1.0, tau=1.0, direction="up")
 
 
-def test_reverse_direction_involutive():
-    rev = reverse_direction(PROTO)
-    assert rev.direction == "left"
-    assert reverse_direction(rev) == PROTO
-
-
 # --- transfer dynamics ----------------------------------------------------------
 
 def test_transfer_is_nearly_lossless():
@@ -173,7 +158,7 @@ def test_transfer_summary_matches_recorded_values():
 def test_reversed_transfer_summary_matches_recorded_values():
     # the left-moving run, recorded from the complex Liouville-space march
     # that stepped with I + D and re-Hermitized after every step
-    _, s = run_transfer(reverse_direction(PROTO), grid=FAST_GRID)
+    _, s = run_transfer(REVERSED, grid=FAST_GRID)
     recorded = {
         "final_battery_energy": "0x1.1b4a0ad74faa1p-30",
         "final_charger_energy": "0x1.fffd06486b1bfp-1",
@@ -247,7 +232,7 @@ def test_wrong_cascade_direction_breaks_unidirectionality():
 
 def test_reversal_mirrors_population_curves():
     fwd, s_fwd = run_transfer(PROTO, grid=FAST_GRID)
-    rev, s_rev = run_transfer(reverse_direction(PROTO), grid=FAST_GRID)
+    rev, s_rev = run_transfer(REVERSED, grid=FAST_GRID)
     f, r = compute_records(fwd), compute_records(rev)
     assert np.abs(r.p_a - f.p_b).max() <= 1e-9
     assert np.abs(r.p_b - f.p_a).max() <= 1e-9

@@ -15,7 +15,6 @@ from gaqb.cli import (
     PARAMS_HEADER,
     ConfigError,
     RunConfig,
-    load_config,
     main,
     merge_config,
     read_config_file,
@@ -46,7 +45,7 @@ def test_config_file_roundtrip(tmp_path):
         "theta_steps = 11\n",
         encoding="utf-8",
     )
-    cfg = load_config(str(cfg_file))
+    cfg, _ = merge_config(str(cfg_file), {})
     assert cfg.topology == "separated"
     assert cfg.theta == pytest.approx(1.5707963)
     assert cfg.gamma == 0.05
@@ -58,7 +57,7 @@ def test_config_unknown_key_names_key_and_line(tmp_path):
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text("topology = braided\nthetа = 0.3\n", encoding="utf-8")  # cyrillic 'а'
     with pytest.raises(ConfigError) as err:
-        load_config(str(cfg_file))
+        merge_config(str(cfg_file), {})
     assert "2" in str(err.value) and "thet" in str(err.value)
 
 
@@ -66,12 +65,12 @@ def test_config_bad_number_and_missing_equals(tmp_path):
     f = tmp_path / "a.cfg"
     f.write_text("gamma = lots\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="gamma"):
-        load_config(str(f))
+        merge_config(str(f), {})
     f.write_text("gamma 0.1\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="key = value"):
-        load_config(str(f))
+        merge_config(str(f), {})
     with pytest.raises(ConfigError):
-        load_config(str(tmp_path / "absent.cfg"))
+        merge_config(str(tmp_path / "absent.cfg"), {})
 
 
 def test_flag_overrides_file(tmp_path):
@@ -283,11 +282,33 @@ def test_exit_code_usage_errors(capsys):
                        "theta_max"),
                       (["chiral", "--theta", "1e308"], "theta"),
                       (["sweep", "--theta-min=-1e308", "--theta-steps", "3", "--tmax", "1"],
+                       "theta_min"),
+                      (["sweep", "--theta-min", "-1e308", "--theta-steps", "3", "--tmax", "1"],
                        "theta_min")):
         assert main(args) == 1
         assert f"gaqb: error: |{key}| must be at most 5.99231e+307" in capsys.readouterr().err
     assert main(["charge", "--theta", "1e307", "--tmax", "1", "--stride", "200"]) == 0
     assert capsys.readouterr().out.count("\n") == 3  # header, t = 0 and t = 1
+
+
+def test_negative_exponent_values_take_a_space(capsys):
+    # argparse alone reads '-1e-3' as a flag and exits with "expected one
+    # argument"; spelled with a space it gives the '=' spelling's bytes
+    for command, args in (("charge", ["--theta", "-1e-3"]),
+                          ("sweep", ["--theta-min", "-1e-3", "--theta-steps", "2"])):
+        run = [command, *args, "--tmax", "1", "--stride", "100"]
+        assert main(run) == 0
+        spaced = capsys.readouterr().out
+        assert main([command, f"{args[0]}={args[1]}", *args[2:], "--tmax", "1", "--stride", "100"]) == 0
+        assert capsys.readouterr().out == spaced
+    # the value is then checked as any other: an int flag, a non-finite value
+    assert main(["sweep", "--theta-steps", "-1e3"]) == 1
+    assert "argument --theta-steps: invalid int value: '-1e3'" in capsys.readouterr().err
+    assert main(["charge", "--theta", "-inf"]) == 1
+    assert "gaqb: error: theta must be finite" in capsys.readouterr().err
+    # a token that is no number is not taken as the value
+    assert main(["charge", "--theta", "-x"]) == 1
+    assert "argument --theta: expected one argument" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

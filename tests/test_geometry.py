@@ -8,9 +8,9 @@ from gaqb.geometry import (
     NESTED,
     SEPARATED,
     CouplingLayout,
+    Topology,
     UnsupportedTopologyError,
     closed_form_params,
-    custom_topology,
     decoherence_free_phases,
     positional_params,
 )
@@ -60,13 +60,13 @@ def test_separated_07_closed_vs_oracle():
 
 
 def test_closed_form_rejects_custom():
-    layout = CouplingLayout(custom_topology(0, 1, 2, 3.5), 0.3, 0.1)
+    layout = CouplingLayout(Topology("custom", (0.0, 1.0, 2.0, 3.5)), 0.3, 0.1)
     with pytest.raises(UnsupportedTopologyError):
         closed_form_params(layout)
 
 
 def test_positional_coincident_points():
-    layout = CouplingLayout(custom_topology(0, 0, 0, 0), 1.3, 0.25)
+    layout = CouplingLayout(Topology("custom", (0.0, 0.0, 0.0, 0.0)), 1.3, 0.25)
     p = positional_params(layout)
     assert p.Gamma_a == pytest.approx(4 * 0.25)
     assert p.Gamma_b == pytest.approx(4 * 0.25)
@@ -120,4 +120,4 @@ def test_layout_validation():
     with pytest.raises(ValueError):
         CouplingLayout(BRAIDED, math.inf, 0.1)
     with pytest.raises(ValueError):
-        custom_topology(0.0, math.nan, 1.0, 2.0)
+        Topology("custom", (0.0, math.nan, 1.0, 2.0))

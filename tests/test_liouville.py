@@ -32,7 +32,6 @@ from gaqb.liouville import (
     make_generator,
     projector,
     rhs,
-    sigma_minus,
     validate_density_matrix,
     _bidirectional_parts,
 )
@@ -62,13 +61,10 @@ ALL_SPECS = [
 # --- operators -------------------------------------------------------------
 
 def test_sigma_minus_action():
-    sm_a, sm_b = sigma_minus("a"), sigma_minus("b")
-    np.testing.assert_array_equal(sm_a @ ket("eg"), ket("gg"))
-    np.testing.assert_array_equal(sm_b @ ket("gg"), np.zeros(4))
-    np.testing.assert_array_equal(sm_a @ sm_a, np.zeros((4, 4)))
-    np.testing.assert_array_equal(sm_b @ ket("ee"), ket("eg"))
-    with pytest.raises(ValueError):
-        sigma_minus("c")
+    np.testing.assert_array_equal(SIGMA_MINUS_A @ ket("eg"), ket("gg"))
+    np.testing.assert_array_equal(SIGMA_MINUS_B @ ket("gg"), np.zeros(4))
+    np.testing.assert_array_equal(SIGMA_MINUS_A @ SIGMA_MINUS_A, np.zeros((4, 4)))
+    np.testing.assert_array_equal(SIGMA_MINUS_B @ ket("ee"), ket("eg"))
 
 
 def test_dissipator_identity_is_zero():
@@ -78,7 +74,7 @@ def test_dissipator_identity_is_zero():
 
 def test_dissipator_decay_of_excited_charger():
     rho = projector("eg")
-    out = dissipator(sigma_minus("a"), rho)
+    out = dissipator(SIGMA_MINUS_A, rho)
     np.testing.assert_allclose(out, projector("gg") - rho, atol=1e-15)
 
 
@@ -91,7 +87,7 @@ def test_dissipator_traceless():
 
 def test_cross_dissipator_equal_args_collapse():
     rho = random_density(RNG)
-    a = sigma_minus("a")
+    a = SIGMA_MINUS_A
     np.testing.assert_allclose(cross_dissipator(a, a, rho), 2 * dissipator(a, rho), atol=1e-14)
 
 
@@ -99,7 +95,7 @@ def test_cross_dissipator_physical_pairing_on_eg():
     # direct matrix evaluation: only the anticommutator halves survive,
     # damping the one-excitation coherence
     rho = projector("eg")
-    out = cross_dissipator(sigma_minus("a"), sigma_minus("b"), rho)
+    out = cross_dissipator(SIGMA_MINUS_A, SIGMA_MINUS_B, rho)
     expected = np.zeros((4, 4), dtype=complex)
     expected[2, 1] = -0.5
     expected[1, 2] = -0.5
@@ -112,7 +108,7 @@ def test_cross_dissipator_raising_pairing_on_eg():
     # produces a pure gg<->ee coherence; traceless and Hermitian but not the
     # Lindblad cross term (that one pairs two lowering operators)
     rho = projector("eg")
-    out = cross_dissipator(sigma_minus("a"), sigma_minus("b").conj().T, rho)
+    out = cross_dissipator(SIGMA_MINUS_A, SIGMA_MINUS_B.conj().T, rho)
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 3] = 1.0
     expected[3, 0] = 1.0
@@ -121,7 +117,7 @@ def test_cross_dissipator_raising_pairing_on_eg():
 
 
 def test_cross_dissipator_hermiticity():
-    a, b = sigma_minus("a"), sigma_minus("b")
+    a, b = SIGMA_MINUS_A, SIGMA_MINUS_B
     for _ in range(20):
         out = cross_dissipator(a, b, random_density(RNG))
         assert np.abs(out - out.conj().T).max() <= 1e-14
@@ -181,7 +177,7 @@ def test_rhs_matches_textbook_composition():
     # 16 of the generator is the rate of energy emission, Tr[loss rho]
     spec = spec_for(BRAIDED, 0.7)
     p = spec.params
-    sa, sb = sigma_minus("a"), sigma_minus("b")
+    sa, sb = SIGMA_MINUS_A, SIGMA_MINUS_B
     H = effective_hamiltonian(spec)
     loss = p.Gamma_a * NUMBER_A + p.Gamma_b * NUMBER_B + p.Gamma_coll * EXCHANGE
     emitted = generators(spec, 0.0)[16]
@@ -298,19 +294,19 @@ def test_generator_bits_match_matmul_form():
         for _ in range(5):
             rho = RNG.normal(size=(len(batch), 4, 4)) + 1j * RNG.normal(size=(len(batch), 4, 4))
             want = ref(rho).view(np.uint64)
-            assert (gen(0.0, rho).view(np.uint64) == want).all()
-            alone = make_generator(batch[-1])(0.0, rho[-1])  # the single-spec 4x4 path
-            assert (alone.view(np.uint64) == want[-1]).all()
+            assert (gen(rho).view(np.uint64) == want).all()
+            alone = make_generator(batch[-1:])(rho[-1:])  # the last cell in a batch of one
+            assert (alone.view(np.uint64) == want[-1:]).all()
 
 
 def test_rhs_linearity():
     spec = spec_for(NESTED, 1.1)
-    gen = make_generator(spec)
+    gen = make_generator([spec])
     for _ in range(10):
-        r1, r2 = random_density(RNG), random_density(RNG)
+        r1, r2 = random_density(RNG)[None], random_density(RNG)[None]
         a, b = 0.3 + 0.1j, -0.7 + 0.2j
-        lhs = gen(0.0, a * r1 + b * r2)
-        np.testing.assert_allclose(lhs, a * gen(0.0, r1) + b * gen(0.0, r2), atol=1e-13)
+        lhs = gen(a * r1 + b * r2)
+        np.testing.assert_allclose(lhs, a * gen(r1) + b * gen(r2), atol=1e-13)
     # convex combinations stay valid states, exercising the public path
     mix = 0.25 * projector("eg") + 0.75 * projector("ge")
     np.testing.assert_allclose(
@@ -345,4 +341,4 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         LiouvillianSpec(lambda t: p, dissipator_kind=BIDIRECTIONAL)
     with pytest.raises(ValueError, match="bidirectional"):  # a cascaded spec goes through generators
-        make_generator(cascaded_spec())
+        make_generator([cascaded_spec()])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import charger_state, ergotropy_closed_form
 from gaqb.geometry import BRAIDED, CouplingLayout, closed_form_params
 from gaqb.integrator import TimeGrid, evolve
 from gaqb.liouville import LiouvillianSpec, ket, projector
@@ -10,11 +11,9 @@ from gaqb.metrics import (
     BatteryState,
     average_power,
     charger_population,
-    charger_state,
     compute_records,
     energy,
     ergotropy,
-    ergotropy_closed_form,
     fluctuation,
     partial_trace_battery,
     purity,
