@@ -58,7 +58,7 @@ class RunConfig:
     theta_max: float = 2.0 * math.pi
     theta_steps: int = 201
     metrics: str = "E,ergotropy,sigma,power"
-    workers: int = 0  # 0 = number of processors
+    workers: int = 0  # 0 = number of processors this process may use
     # chiral protocol
     gamma_max: float = 0.1
     tau_scaled: float = 10.0
@@ -296,8 +296,9 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
     """Charging metrics over the theta grid, plus refined global maxima.
 
     The theta grid is split into ``min(workers, theta_steps, processors)``
-    contiguous shards, each integrated as one batch; shards beyond the
-    first run on a spawn pool, one process each.  The output ordering
+    contiguous shards, counting the processors this process may run on,
+    each shard integrated as one batch; shards beyond the first run on a
+    spawn pool, one process each.  The output ordering
     is theta-major and identical for any split.  The summary holds, for
     each metric, the grid maximum refined by a dense (every-step) rerun at
     the best theta followed by three-point parabolic interpolation (the
@@ -307,7 +308,8 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
     and power in the nested layout) reports ``theta_min``.
     """
     thetas = _theta_grid(cfg)
-    cpus = os.cpu_count() or 1
+    # os.cpu_count() also counts processors outside this process's affinity mask
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     rest = (cfg.topology, cfg.gamma, cfg.tmax, cfg.dt, cfg.sample_stride)
     shards = [(tuple(part.tolist()), *rest)
               for part in np.array_split(thetas, min(cfg.workers or cpus, len(thetas), cpus))]

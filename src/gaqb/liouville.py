@@ -244,21 +244,12 @@ def generators(spec: LiouvillianSpec, times) -> np.ndarray:
     return (c @ _BASIS).reshape(*c.shape[:-1], 17, 17)
 
 
-def _bidirectional_parts(spec: LiouvillianSpec):
-    """K = -iH - 1/2 (Gamma_a n_a + Gamma_b n_b + Gamma_coll X) and the three jump rates."""
-    p = spec.params_at(0.0)
-    H = effective_hamiltonian(spec)
-    K = -1j * H - 0.5 * (
-        p.Gamma_a * NUMBER_A + p.Gamma_b * NUMBER_B + p.Gamma_coll * EXCHANGE
-    )
-    return K, (p.Gamma_a, p.Gamma_b, p.Gamma_coll)
-
-
 def make_generator(specs: Sequence[LiouvillianSpec]) -> Callable[[np.ndarray], np.ndarray]:
     """Compile N bidirectional specs into a fast rhs closure (no per-call validation).
 
     The returned function maps an (N,4,4) stack of states, cell i under
-    spec i, to drho/dt = K rho + rho K^dag + jumps, where K folds the
+    spec i, to drho/dt = K rho + rho K^dag + jumps, where
+    K = -iH - 1/2 (Gamma_a n_a + Gamma_b n_b + Gamma_coll X) folds the
     Hamiltonian and the anticommutator halves together.  The specs are
     time-independent, so the closure takes no time.  A cascaded spec
     raises ValueError: its generator is :func:`generators`.  Each cell sees
@@ -268,9 +259,10 @@ def make_generator(specs: Sequence[LiouvillianSpec]) -> Callable[[np.ndarray], n
     """
     if any(s.dissipator_kind != BIDIRECTIONAL for s in specs):
         raise ValueError("make_generator takes bidirectional specs; see generators")
-    parts = [_bidirectional_parts(s) for s in specs]
-    K = np.stack([k for k, _ in parts])
-    rates = np.array([r for _, r in parts]).T[:, :, None, None]  # (3, N, 1, 1)
+    rates = np.array([(s.params.Gamma_a, s.params.Gamma_b, s.params.Gamma_coll) for s in specs])
+    K = np.stack([-1j * effective_hamiltonian(s) - 0.5 * (ga * NUMBER_A + gb * NUMBER_B + gc * EXCHANGE)
+                  for s, (ga, gb, gc) in zip(specs, rates.tolist())])
+    rates = rates.T[:, :, None, None]  # (3, N, 1, 1)
 
     Kd = K.conj().swapaxes(-1, -2)
     # each atom's (ground, excited) rows of rho in the index 2 n_a + n_b:

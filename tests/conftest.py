@@ -5,7 +5,21 @@ import pytest
 
 from gaqb.chiral import ChiralProtocol, default_grid, run_transfer
 from gaqb.cli import RunConfig, run_sweep
+from gaqb.geometry import CouplingLayout, closed_form_params
 from gaqb.integrator import TimeGrid, evolve
+from gaqb.liouville import (
+    BIDIRECTIONAL,
+    EXCHANGE,
+    NUMBER_A,
+    NUMBER_B,
+    SIGMA_MINUS_A,
+    SIGMA_MINUS_B,
+    LiouvillianSpec,
+    cross_dissipator,
+    dissipator,
+    effective_hamiltonian,
+    jump_operator,
+)
 
 
 @pytest.fixture(scope="session")
@@ -29,6 +43,40 @@ def chiral_forward():
     p = ChiralProtocol(gamma_max=0.1, tau=100.0)
     traj, summary = run_transfer(p, grid=default_grid(p, dt=0.02))
     return p, traj, summary
+
+
+def spec_for(topo, theta, gamma=0.1):
+    """Bidirectional spec of a topology at phase theta, closed-form coefficients."""
+    return LiouvillianSpec(closed_form_params(CouplingLayout(topo, theta, gamma)))
+
+
+def textbook_rhs(spec, t, rho):
+    """drho/dt and the emitted-energy rate Tr[L^dag L rho] at time t,
+    composed as the master equation is written: the commutator with H, and
+    dissipator and cross_dissipator terms (the jump operator for a
+    cascaded spec)."""
+    H = effective_hamiltonian(spec, t)
+    p = spec.params_at(t)
+    if spec.dissipator_kind == BIDIRECTIONAL:
+        sa, sb = SIGMA_MINUS_A, SIGMA_MINUS_B
+        jumps = (p.Gamma_a * dissipator(sa, rho) + p.Gamma_b * dissipator(sb, rho)
+                 + p.Gamma_coll * cross_dissipator(sa, sb, rho))
+        loss = p.Gamma_a * NUMBER_A + p.Gamma_b * NUMBER_B + p.Gamma_coll * EXCHANGE
+    else:
+        L = jump_operator(p, spec.dissipator_kind)
+        jumps, loss = dissipator(L, rho), L.conj().T @ L
+    return -1j * (H @ rho - rho @ H) + jumps, np.trace(loss @ rho).real
+
+
+def k_form(spec):
+    """K = -iH - 1/2 (Gamma_a n_a + Gamma_b n_b + Gamma_coll X) of a
+    bidirectional spec, so drho/dt = K rho + rho K^dag + jumps, and the
+    three jump rates (Gamma_a, Gamma_b, Gamma_coll)."""
+    p = spec.params
+    K = -1j * effective_hamiltonian(spec) - 0.5 * (
+        p.Gamma_a * NUMBER_A + p.Gamma_b * NUMBER_B + p.Gamma_coll * EXCHANGE
+    )
+    return K, (p.Gamma_a, p.Gamma_b, p.Gamma_coll)
 
 
 def random_density(rng, pure=False):

@@ -15,9 +15,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import charger_state, convergence_order
-from gaqb.chiral import LEFT_TO_CHARGER, ChiralProtocol, default_grid, run_transfer
-from gaqb.cli import RunConfig, _parabolic_peak, _sweep_cell, main
+from conftest import charger_state, convergence_order, spec_for
+from gaqb.chiral import LEFT_TO_CHARGER, default_grid, run_transfer
+from gaqb.cli import _parabolic_peak, main
 from gaqb.geometry import (
     BRAIDED,
     NESTED,
@@ -27,8 +27,8 @@ from gaqb.geometry import (
     positional_params,
 )
 from gaqb.integrator import TimeGrid, evolve
-from gaqb.liouville import LiouvillianSpec, projector
-from gaqb.metrics import compute_records, partial_trace_battery
+from gaqb.liouville import projector
+from gaqb.metrics import compute_records
 
 
 def report(tag, ok, detail):
@@ -36,19 +36,21 @@ def report(tag, ok, detail):
     assert ok, f"{tag}: {detail}"
 
 
-def dense_cell(topology, theta, gamma=0.1, tmax=100.0, dt=0.04):
-    """Every-step metric table at one phase: columns
-    (t, E, ergotropy, sigma, power, energy_power)."""
-    return _sweep_cell(((theta,), topology, gamma, tmax, dt, 1))[0]
+def dense_records(topo, theta, gamma=0.1, tmax=100.0, dt=0.04):
+    """Metric records after every step of one charging run from |eg>."""
+    return compute_records(evolve(spec_for(topo, theta, gamma), projector("eg"),
+                                  TimeGrid(0.0, tmax, dt=dt)))
 
 
-def refined_max(cell, col):
-    j = int(np.argmax(cell[:, col]))
-    return _parabolic_peak(cell[:, 0], cell[:, col], j)[1]
+def refined_max(recs, field):
+    """The parabola-refined maximum of one metric over the records."""
+    return _parabolic_peak(recs.t, recs[field], int(np.argmax(recs[field])))[1]
 
 
-def spec_for(topo, theta, gamma=0.1):
-    return LiouvillianSpec(closed_form_params(CouplingLayout(topo, theta, gamma)))
+@pytest.fixture(scope="module")
+def braided_ridge():
+    """The decoherence-free braided run at theta = pi/2 that C2 and C3 read."""
+    return dense_records(BRAIDED, math.pi / 2)
 
 
 def test_c01_decoherence_free_charging_matches_rabi():
@@ -67,20 +69,19 @@ def test_c01_decoherence_free_charging_matches_rabi():
            f"p_a+p_b dev {excitation_err:.2e} (<=1e-8)")
 
 
-def test_c02_braided_max_fluctuation(sweep):
+def test_c02_braided_max_fluctuation(sweep, braided_ridge):
     res = sweep("braided")
     global_max = res.summary["max_sigma"]
-    on_ridge = refined_max(dense_cell("braided", math.pi / 2), 3)
+    on_ridge = refined_max(braided_ridge, "sigma")
     ok = abs(global_max - 0.5) <= 1e-3 and abs(on_ridge - 0.5) <= 1e-3
     report("C2 braided max fluctuation 0.5", ok,
            f"sweep max = {global_max:.6f}, at theta = pi/2: {on_ridge:.6f} (0.5 +/- 1e-3)")
 
 
-def test_c03_braided_max_average_power(sweep):
+def test_c03_braided_max_average_power(sweep, braided_ridge):
     res = sweep("braided")
     global_power = res.summary["max_power"]
-    cell = dense_cell("braided", math.pi / 2)
-    on_ridge = refined_max(cell, 4)
+    on_ridge = refined_max(braided_ridge, "power")
     e_power = res.summary["max_energy_power"]
     ok = 0.067 <= global_power <= 0.077
     report("C3 braided max average power", ok,
@@ -89,13 +90,12 @@ def test_c03_braided_max_average_power(sweep):
 
 
 def test_c04_braided_in_phase_steady_charging():
-    cell = dense_cell("braided", 0.0, dt=0.005)
-    e_end = cell[-1, 1]
-    sigma_max = refined_max(cell, 3)
-    epower_max = refined_max(cell, 5)
-    erg_end = cell[-1, 2]
-    pb = cell[:, 1]
-    non_oscillatory = bool(np.all(np.diff(pb) >= -1e-12))
+    recs = dense_records(BRAIDED, 0.0, dt=0.005)
+    e_end = recs.E[-1]
+    sigma_max = refined_max(recs, "sigma")
+    epower_max = refined_max(recs, "energy_power")
+    erg_end = recs.ergotropy[-1]
+    non_oscillatory = bool(np.all(np.diff(recs.E) >= -1e-12))
     ok = (
         abs(e_end - 0.25) <= 1e-3
         and abs(epower_max - 0.0407) <= 1e-3
@@ -200,8 +200,7 @@ def test_c08_vanishing_toward_pi():
         mono = all(all(np.diff(v) < 0) for v in seqs.values())
         sig = []
         for eps in metric_eps:
-            cell = dense_cell(topo.variant, math.pi - eps, tmax=100.0, dt=0.04)
-            sig.append(cell[:, 3].max())
+            sig.append(dense_records(topo, math.pi - eps).sigma.max())
         vanishing = all(np.diff(sig) < 0) and sig[-1] <= 0.12
         ok = ok and mono and vanishing
         detail.append(f"{topo.variant}: params monotone {mono}, "
@@ -269,8 +268,8 @@ def test_c12_chiral_reversal(chiral_forward):
 def test_c13_power_scales_linearly_in_gamma():
     ratios = {}
     for gamma in (0.1, 0.01, 0.001):
-        cell = _sweep_cell(((math.pi / 2,), "braided", gamma, 2.5 / gamma, 0.0005 / gamma, 1))[0]
-        ratios[gamma] = refined_max(cell, 4) / gamma
+        recs = dense_records(BRAIDED, math.pi / 2, gamma, tmax=2.5 / gamma, dt=0.0005 / gamma)
+        ratios[gamma] = refined_max(recs, "power") / gamma
     values = list(ratios.values())
     spread = (max(values) - min(values)) / min(values)
     c = values[0]

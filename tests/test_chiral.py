@@ -10,7 +10,6 @@ from gaqb.chiral import (
     RIGHT_TO_BATTERY,
     ChiralProtocol,
     chiral_coupling_params,
-    chiral_spec,
     default_grid,
     pitch_catch_rates,
     rate_profile,

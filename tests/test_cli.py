@@ -17,7 +17,6 @@ from gaqb.cli import (
     RunConfig,
     main,
     merge_config,
-    read_config_file,
     run_sweep,
     write_csv,
     _fmt,
@@ -170,15 +169,6 @@ def test_charge_command_columns_and_determinism(tmp_path):
     last = [float(v) for v in lines[-1].split(",")]
     assert last[0] == 10.0
     assert last[2] == pytest.approx(math.sin(1.0) ** 2, abs=1e-6)  # p_b
-
-
-def test_sweep_serial_vs_parallel_bytes(tmp_path):
-    a, b, c = (tmp_path / n for n in ("s1.csv", "s2.csv", "p.csv"))
-    assert main(SWEEP_ARGS + ["--workers", "1", "--out", str(a)]) == 0
-    assert main(SWEEP_ARGS + ["--workers", "1", "--out", str(b)]) == 0
-    assert main(SWEEP_ARGS + ["--workers", "2", "--out", str(c)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-    assert a.read_bytes() == c.read_bytes()
 
 
 def test_sweep_output_shape_and_summary(tmp_path):
@@ -380,16 +370,31 @@ def test_pool_processes_capped_by_processor_count(monkeypatch):
 
     sizes, mapped = [], []
     monkeypatch.setattr(gaqb.cli, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    # 3 of 64 processors usable
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     cfg = RunConfig(topology="braided", theta_max=3.0, theta_steps=9, tmax=2.0, dt=0.05,
                     sample_stride=10)
     serial = run_sweep(replace(cfg, workers=1))
     assert sizes == mapped == []
-    for workers, procs, shards in ((10000, 2, 3), (4, 2, 3), (2, 1, 2), (0, 2, 3)):
+
+    def check(workers, procs, shards):
         res = run_sweep(replace(cfg, workers=workers))
         assert (sizes.pop(), mapped.pop()) == (procs, shards - 1)
         assert (res.cells.view(np.uint64) == serial.cells.view(np.uint64)).all()
         assert res.summary == serial.summary
+
+    for workers, procs, shards in ((10000, 2, 3), (4, 2, 3), (2, 1, 2), (0, 2, 3)):
+        check(workers, procs, shards)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # pinned to 2 of 64
+    check(0, 1, 2)
+    # without an affinity call, the processor count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    check(0, 2, 3)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert run_sweep(replace(cfg, workers=0)).summary == serial.summary
+    assert sizes == mapped == []
 
 
 def test_dense_reruns_batched_bitwise():

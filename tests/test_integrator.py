@@ -4,66 +4,40 @@ import math
 import numpy as np
 import pytest
 
-from conftest import convergence_order, random_density
+from conftest import convergence_order, k_form, random_density, spec_for, textbook_rhs
 from gaqb.chiral import ChiralProtocol, chiral_spec
-from gaqb.geometry import (
-    BRAIDED,
-    NESTED,
-    SEPARATED,
-    CouplingLayout,
-    CouplingParams,
-    closed_form_params,
-)
-from gaqb.integrator import (
-    DivergenceError,
-    PositivityError,
-    TimeGrid,
-    evolve,
-)
+from gaqb.geometry import BRAIDED, NESTED, SEPARATED, CouplingParams
+from gaqb.integrator import DivergenceError, PositivityError, TimeGrid, evolve
 from gaqb.liouville import (
-    BIDIRECTIONAL,
-    EXCHANGE,
-    NUMBER_A,
-    NUMBER_B,
     SIGMA_MINUS_A,
     SIGMA_MINUS_B,
     LiouvillianSpec,
     StateValidationError,
     coordinates,
-    cross_dissipator,
     density_matrices,
-    dissipator,
-    effective_hamiltonian,
     generators,
-    jump_operator,
-    make_generator,
     projector,
 )
 from gaqb.metrics import compute_records
-
-
-def spec_for(theta, gamma=0.1, topo=BRAIDED):
-    return LiouvillianSpec(closed_form_params(CouplingLayout(topo, theta, gamma)))
-
 
 EG = projector("eg")
 
 
 def test_zero_generator_trajectory_constant_bitwise():
-    spec = spec_for(math.pi, topo=SEPARATED)
+    spec = spec_for(SEPARATED, math.pi)
     traj = evolve(spec, EG, TimeGrid(0.0, 50.0, dt=0.005, sample_stride=200))
     assert all(np.array_equal(s, EG) for s in traj.states)
 
 
 def test_rabi_oracle_braided_df():
-    traj = evolve(spec_for(math.pi / 2), EG, TimeGrid(0.0, 20.0, dt=0.02, sample_stride=10))
+    traj = evolve(spec_for(BRAIDED, math.pi / 2), EG, TimeGrid(0.0, 20.0, dt=0.02, sample_stride=10))
     pb = traj.states[:, 1, 1].real
     assert np.abs(pb - np.sin(0.1 * traj.times) ** 2).max() <= 1e-6
 
 
 def test_dark_state_half_population_braided_zero():
     # initial |eg> overlaps the non-decaying antisymmetric state with weight 1/2
-    traj = evolve(spec_for(0.0), EG, TimeGrid(0.0, 100.0, dt=0.02, sample_stride=100))
+    traj = evolve(spec_for(BRAIDED, 0.0), EG, TimeGrid(0.0, 100.0, dt=0.02, sample_stride=100))
     pb = traj.states[:, 1, 1].real
     oracle = (1.0 - np.exp(-0.4 * traj.times)) ** 2 / 4.0
     assert np.abs(pb - oracle).max() <= 1e-6
@@ -72,7 +46,7 @@ def test_dark_state_half_population_braided_zero():
 
 def test_snapshot_times_and_first_state():
     grid = TimeGrid(0.0, 1.003, dt=0.01, sample_stride=7)
-    traj = evolve(spec_for(0.7), EG, grid)
+    traj = evolve(spec_for(BRAIDED, 0.7), EG, grid)
     assert traj.times[0] == 0.0
     assert traj.times[-1] == 1.003
     assert np.all(np.diff(traj.times) > 0)
@@ -86,7 +60,7 @@ def test_snapshot_times_and_first_state():
     (1e-13, 0.01, 1, [0.0, 1e-13], 0),  # below the remainder floor: no step at all
 ])
 def test_snapshot_schedule(t_end, dt, stride, times, steps):
-    traj = evolve(spec_for(0.7), EG, TimeGrid(0.0, t_end, dt=dt, sample_stride=stride))
+    traj = evolve(spec_for(BRAIDED, 0.7), EG, TimeGrid(0.0, t_end, dt=dt, sample_stride=stride))
     assert traj.times.tolist() == times
     assert traj.step_count == steps
     if steps == 0:
@@ -95,28 +69,28 @@ def test_snapshot_schedule(t_end, dt, stride, times, steps):
 
 
 def test_purity_and_excitation_conserved_at_df_point():
-    traj = evolve(spec_for(math.pi / 2), EG, TimeGrid(0.0, 100.0, dt=0.02, sample_stride=50))
+    traj = evolve(spec_for(BRAIDED, math.pi / 2), EG, TimeGrid(0.0, 100.0, dt=0.02, sample_stride=50))
     for rho in traj.states:
         assert abs(np.trace(rho @ rho).real - 1.0) <= 1e-8
         assert abs(rho[1, 1].real + rho[2, 2].real + rho[3, 3].real * 2 - 1.0) <= 1e-8
 
 
 def test_trace_drift_small():
-    traj = evolve(spec_for(0.7), EG, TimeGrid(0.0, 100.0, dt=0.005, sample_stride=100))
+    traj = evolve(spec_for(BRAIDED, 0.7), EG, TimeGrid(0.0, 100.0, dt=0.005, sample_stride=100))
     assert traj.max_trace_drift <= 1e-9
     assert traj.min_eigenvalue >= -1e-8
 
 
 def test_determinism_bitwise():
     grid = TimeGrid(0.0, 30.0, dt=0.01, sample_stride=30)
-    a = evolve(spec_for(1.1), EG, grid)
-    b = evolve(spec_for(1.1), EG, grid)
+    a = evolve(spec_for(BRAIDED, 1.1), EG, grid)
+    b = evolve(spec_for(BRAIDED, 1.1), EG, grid)
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.times, b.times)
 
 
 def test_convergence_order_smooth():
-    order = convergence_order(spec_for(math.pi / 2), EG, 20.0, dt=0.2)
+    order = convergence_order(spec_for(BRAIDED, math.pi / 2), EG, 20.0, dt=0.2)
     assert order == pytest.approx(4.0, abs=0.3)
 
 
@@ -129,7 +103,7 @@ def test_convergence_order_chiral_smooth_piece():
 
 
 def test_dt_halving_shrinks_error_16x():
-    spec = spec_for(math.pi / 2)
+    spec = spec_for(BRAIDED, math.pi / 2)
 
     def err(dt):
         traj = evolve(spec, EG, TimeGrid(0.0, 20.0, dt=dt, sample_stride=10**9))
@@ -148,7 +122,7 @@ def test_positivity_error_names_time():
         evolve(spec, EG, TimeGrid(0.0, 200.0, dt=0.05, sample_stride=100))
     # in a batch, the error names the first failing cell
     with pytest.raises(PositivityError, match="t = ") as err:
-        evolve([spec_for(0.7), spec, spec], EG, TimeGrid(0.0, 200.0, dt=0.05, sample_stride=100))
+        evolve([spec_for(BRAIDED, 0.7), spec, spec], EG, TimeGrid(0.0, 200.0, dt=0.05, sample_stride=100))
     assert err.value.cell == 1
 
 
@@ -157,21 +131,21 @@ def test_divergence_error():
     # only the final snapshot is checked, by which point RK4 at lambda*dt = 16
     # has overflowed to non-finite values
     with pytest.raises(DivergenceError):
-        evolve(spec_for(0.0), EG, TimeGrid(0.0, 20000.0, dt=40.0, sample_stride=10**9))
+        evolve(spec_for(BRAIDED, 0.0), EG, TimeGrid(0.0, 20000.0, dt=40.0, sample_stride=10**9))
 
 
 def test_invalid_initial_state_rejected():
     with pytest.raises(StateValidationError):
-        evolve(spec_for(0.7), 2.0 * EG, TimeGrid(0.0, 1.0, dt=0.01))
+        evolve(spec_for(BRAIDED, 0.7), 2.0 * EG, TimeGrid(0.0, 1.0, dt=0.01))
 
 
 def test_matches_exact_propagator():
     # oracle: the 16x16 Liouville-space generator, assembled column by
-    # column from the rhs on the basis matrices |i><j|, exponentiated by
-    # eigendecomposition (cond(V) is about 8 here)
-    spec = spec_for(1.1, topo=NESTED)
+    # column from the textbook rhs on the basis matrices |i><j|,
+    # exponentiated by eigendecomposition (cond(V) is about 8 here)
+    spec = spec_for(NESTED, 1.1)
     basis = np.eye(16, dtype=complex).reshape(16, 4, 4)
-    L = make_generator([spec])(basis).reshape(16, 16).T
+    L = np.stack([textbook_rhs(spec, 0.0, u)[0].ravel() for u in basis], axis=1)
     w, V = np.linalg.eig(L)
     t = 50.0
     exact = (V @ (np.exp(w * t) * np.linalg.solve(V, EG.ravel()))).reshape(4, 4)
@@ -182,7 +156,7 @@ def test_matches_exact_propagator():
 def test_aux_callback_rejected():
     # no co-integrated callback: a single run's emitted energy fills traj.aux,
     # and a batch has none
-    spec = spec_for(math.pi / 2)
+    spec = spec_for(BRAIDED, math.pi / 2)
     for other in (spec, [spec], chiral_spec(ChiralProtocol(gamma_max=0.1, tau=10.0))):
         with pytest.raises(ValueError, match="no aux callback"):
             evolve(other, EG, TimeGrid(0.0, 1.0, dt=0.02), aux=lambda t, rho: 0.0)
@@ -192,33 +166,18 @@ def test_aux_callback_rejected():
 
 
 def per_stage_rk4(spec, rho, grid):
-    """Complex 4x4 RK4 with H, the dissipators and the emitted-energy rate
-    rebuilt at every stage time, stepping as evolve does (full steps, then
-    one short step onto t_end).  Returns the states and emitted energy
-    after every step."""
-
-    def f(t, r):
-        H = effective_hamiltonian(spec, t)
-        p = spec.params_at(t)
-        if spec.dissipator_kind == BIDIRECTIONAL:
-            sa, sb = SIGMA_MINUS_A, SIGMA_MINUS_B
-            jumps = (p.Gamma_a * dissipator(sa, r) + p.Gamma_b * dissipator(sb, r)
-                     + p.Gamma_coll * cross_dissipator(sa, sb, r))
-            loss = p.Gamma_a * NUMBER_A + p.Gamma_b * NUMBER_B + p.Gamma_coll * EXCHANGE
-        else:
-            L = jump_operator(p, spec.dissipator_kind)
-            jumps, loss = dissipator(L, r), L.conj().T @ L
-        return -1j * (H @ r - r @ H) + jumps, np.trace(loss @ r).real
-
+    """Complex 4x4 RK4 on the textbook rhs at every stage time, stepping
+    as evolve does (full steps, then one short step onto t_end).  Returns
+    the states and emitted energy after every step."""
     n_full = int(math.floor((grid.t_end - grid.t_start) / grid.dt + 1e-9))
     rem = grid.t_end - grid.t_start - n_full * grid.dt
     states, fluxes, flux = [rho], [0.0], 0.0
     for i in range(n_full + 1):
         t, h = grid.t_start + i * grid.dt, grid.dt if i < n_full else rem
-        k1, f1 = f(t, rho)
-        k2, f2 = f(t + 0.5 * h, rho + 0.5 * h * k1)
-        k3, f3 = f(t + 0.5 * h, rho + 0.5 * h * k2)
-        k4, f4 = f(t + h, rho + h * k3)
+        k1, f1 = textbook_rhs(spec, t, rho)
+        k2, f2 = textbook_rhs(spec, t + 0.5 * h, rho + 0.5 * h * k1)
+        k3, f3 = textbook_rhs(spec, t + 0.5 * h, rho + 0.5 * h * k2)
+        k4, f4 = textbook_rhs(spec, t + h, rho + h * k3)
         rho = rho + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         flux += h / 6.0 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
         states.append(rho)
@@ -254,22 +213,19 @@ def reference_step(spec, rho, h):
     """One step of the per-cell path: a 4x4 RK4 step whose rhs skips a
     zero-rate jump term with an `if`, then re-Hermitization and the
     drift > 1e-12 renormalization."""
-    p = spec.params
-    K = -1j * effective_hamiltonian(spec) - 0.5 * (
-        p.Gamma_a * NUMBER_A + p.Gamma_b * NUMBER_B + p.Gamma_coll * EXCHANGE
-    )
+    K, (ga, gb, gc) = k_form(spec)
     Kd = K.conj().T
     sa, sb = SIGMA_MINUS_A, SIGMA_MINUS_B
     sad, sbd = sa.conj().T, sb.conj().T
 
     def gen(r):
         out = K @ r + r @ Kd
-        if p.Gamma_a != 0.0:
-            out += p.Gamma_a * (sa @ r @ sad)
-        if p.Gamma_b != 0.0:
-            out += p.Gamma_b * (sb @ r @ sbd)
-        if p.Gamma_coll != 0.0:
-            out += p.Gamma_coll * (sa @ r @ sbd + sb @ r @ sad)
+        if ga != 0.0:
+            out += ga * (sa @ r @ sad)
+        if gb != 0.0:
+            out += gb * (sb @ r @ sbd)
+        if gc != 0.0:
+            out += gc * (sa @ r @ sbd + sb @ r @ sad)
         return out
 
     k1 = gen(rho)
@@ -284,9 +240,9 @@ def reference_step(spec, rho, h):
 
 
 # zero-rate (braided pi/2, separated pi) and dissipative cells, mirror pairs included
-MIXED_SPECS = [spec_for(math.pi / 2), spec_for(1.1, topo=NESTED),
-               spec_for(2 * math.pi - 1.1, topo=NESTED), spec_for(math.pi, topo=SEPARATED),
-               spec_for(0.3, topo=SEPARATED)]
+MIXED_SPECS = [spec_for(BRAIDED, math.pi / 2), spec_for(NESTED, 1.1),
+               spec_for(NESTED, 2 * math.pi - 1.1), spec_for(SEPARATED, math.pi),
+               spec_for(SEPARATED, 0.3)]
 MIXED_GRID = TimeGrid(0.0, 3.0, dt=0.07, sample_stride=4)  # 42 full steps plus 0.06
 
 
@@ -327,7 +283,7 @@ def test_single_run_energy_ledger():
     # stays at the one excitation of |eg>
     grid = TimeGrid(0.0, 100.0, dt=0.01, sample_stride=50)
     for topo, theta in itertools.product((BRAIDED, SEPARATED, NESTED), (0.4, 1.3, math.pi / 2, 2.2)):
-        traj = evolve(spec_for(theta, topo=topo), EG, grid)
+        traj = evolve(spec_for(topo, theta), EG, grid)
         pops = np.diagonal(traj.states, axis1=1, axis2=2).real
         ledger = pops[:, 2] + pops[:, 1] + 2.0 * pops[:, 3] + traj.aux
         assert np.abs(ledger - 1.0).max() <= 1e-12, (topo.variant, theta)
@@ -378,8 +334,8 @@ def test_single_march_matches_chunked_maps_bitwise():
     # ends on a short step (501 x 0.02 + 0.01, 42 x 0.07 + 0.06, 500 x 0.01
     # + 0.003); the chiral spec is time-dependent
     full_rank = random_density(np.random.default_rng(5))
-    cases = [(spec_for(math.pi / 2), EG, TimeGrid(0.0, 20.0, dt=0.005, sample_stride=1)),
-             (spec_for(1.1, topo=NESTED), EG, TimeGrid(0.0, 10.03, dt=0.02, sample_stride=7)),
+    cases = [(spec_for(BRAIDED, math.pi / 2), EG, TimeGrid(0.0, 20.0, dt=0.005, sample_stride=1)),
+             (spec_for(NESTED, 1.1), EG, TimeGrid(0.0, 10.03, dt=0.02, sample_stride=7)),
              *((spec, full_rank, MIXED_GRID) for spec in MIXED_SPECS),
              (chiral_spec(ChiralProtocol(gamma_max=1.0, tau=2.0, theta=1.2)), full_rank,
               TimeGrid(0.0, 5.003, dt=0.01, sample_stride=25))]
@@ -433,7 +389,7 @@ def test_single_runs_match_long_double_rk4():
     # long double, on and off the decoherence-free points
     cells = [(BRAIDED, math.pi / 2), (BRAIDED, 0.4), (SEPARATED, math.pi), (SEPARATED, 1.3),
              (NESTED, 1.1), (NESTED, 2.2)]
-    specs = [spec_for(theta, topo=topo) for topo, theta in cells]
+    specs = [spec_for(topo, theta) for topo, theta in cells]
     grid = TimeGrid(0.0, 100.0, dt=0.005, sample_stride=50)
     oracle = long_double_rk4(specs, np.longdouble(grid.dt), 20000, 50)
     for spec, want in zip(specs, oracle):
@@ -456,7 +412,7 @@ def test_grid_validation():
 
 
 def test_records_attached_by_metrics():
-    traj = evolve(spec_for(math.pi / 2), EG, TimeGrid(0.0, 10.0, dt=0.02, sample_stride=50))
+    traj = evolve(spec_for(BRAIDED, math.pi / 2), EG, TimeGrid(0.0, 10.0, dt=0.02, sample_stride=50))
     recs = compute_records(traj)
     assert len(recs) == len(traj.times)
     assert recs[0].p_a == pytest.approx(1.0)

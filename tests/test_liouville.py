@@ -3,16 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_density
+from conftest import k_form, random_density, spec_for, textbook_rhs
 from gaqb.chiral import ChiralProtocol, chiral_coupling_params, chiral_spec
 from gaqb.geometry import (
     BRAIDED, NESTED, SEPARATED, CouplingLayout, CouplingParams, closed_form_params,
 )
 from gaqb.liouville import (
     BIDIRECTIONAL,
-    EXCHANGE,
-    NUMBER_A,
-    NUMBER_B,
     SIGMA_MINUS_A,
     SIGMA_MINUS_B,
     SIGMA_PLUS_A,
@@ -27,20 +24,14 @@ from gaqb.liouville import (
     dissipator,
     effective_hamiltonian,
     generators,
-    jump_operator,
     ket,
     make_generator,
     projector,
     rhs,
     validate_density_matrix,
-    _bidirectional_parts,
 )
 
 RNG = np.random.default_rng(20240817)
-
-
-def spec_for(topo, theta, gamma=0.1):
-    return LiouvillianSpec(closed_form_params(CouplingLayout(topo, theta, gamma)))
 
 
 def cascaded_spec(kind=CASCADED_RIGHT):
@@ -176,21 +167,12 @@ def test_rhs_matches_textbook_composition():
     # real-basis assembly against the explicit dissipator composition; row
     # 16 of the generator is the rate of energy emission, Tr[loss rho]
     spec = spec_for(BRAIDED, 0.7)
-    p = spec.params
-    sa, sb = SIGMA_MINUS_A, SIGMA_MINUS_B
-    H = effective_hamiltonian(spec)
-    loss = p.Gamma_a * NUMBER_A + p.Gamma_b * NUMBER_B + p.Gamma_coll * EXCHANGE
     emitted = generators(spec, 0.0)[16]
     for _ in range(10):
         rho = random_density(RNG)
-        expected = (
-            -1j * (H @ rho - rho @ H)
-            + p.Gamma_a * dissipator(sa, rho)
-            + p.Gamma_b * dissipator(sb, rho)
-            + p.Gamma_coll * cross_dissipator(sa, sb, rho)
-        )
+        expected, rate = textbook_rhs(spec, 0.0, rho)
         np.testing.assert_allclose(rhs(spec, 0.0, rho), expected, atol=1e-14)
-        assert abs(emitted @ np.append(coordinates(rho), 0.0) - np.trace(loss @ rho)) <= 1e-14
+        assert abs(emitted @ np.append(coordinates(rho), 0.0) - rate) <= 1e-14
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.dissipator_kind)
@@ -247,21 +229,19 @@ def test_cascaded_superoperator_matches_textbook(theta, direction):
     assert G.shape == (4, 17, 17) and G.dtype == np.float64  # real coordinates
     assert not G[:, :, 16].any()  # the flux never feeds back
     for t, g in zip(ts.tolist(), G):
-        H = effective_hamiltonian(spec, t)
-        L = jump_operator(spec.params_at(t), spec.dissipator_kind)
         assert np.abs(g - generators(spec, t)).max() <= 1e-15
         for _ in range(10):
             rho = random_density(RNG)
-            expected = -1j * (H @ rho - rho @ H) + dissipator(L, rho)
+            expected, rate = textbook_rhs(spec, t, rho)
             out = g @ np.append(coordinates(rho), 0.0)
             assert np.abs(density_matrices(out[:16]) - expected).max() <= 1e-14
-            assert abs(out[16] - np.trace(L.conj().T @ L @ rho)) <= 1e-14
+            assert abs(out[16] - rate) <= 1e-14
             assert np.abs(rhs(spec, t, rho) - expected).max() <= 1e-14
 
 
 def matmul_generator(specs):
     """The jump terms as stacked matmuls, in the order make_generator adds them."""
-    parts = [_bidirectional_parts(s) for s in specs]
+    parts = [k_form(s) for s in specs]
     K = np.stack([k for k, _ in parts])
     Kd = K.conj().swapaxes(-1, -2)
     rates = np.array([r for _, r in parts]).T[:, :, None, None]
