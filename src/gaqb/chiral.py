@@ -165,8 +165,8 @@ def run_transfer(
     """Evolve the cascaded master equation and track the leaked excitation.
 
     Leakage accumulates the photon flux past the absorber,
-    integral of Tr[L rho L^dag] dt, which :func:`evolve` integrates as the
-    17th component of the cascaded state.  The default initial state puts the
+    integral of Tr[L rho L^dag] dt, which :func:`evolve` integrates with
+    the state into ``traj.aux``.  The default initial state puts the
     excitation on the sending atom for the chosen direction.  Integration
     is split at t = tau so the rate profiles' slope kink lands exactly on
     a step boundary.

@@ -1,15 +1,15 @@
 """Deterministic fixed-step RK4 for the master equation.
 
 Identical inputs produce bit-identical trajectories, and the trace is
-renormalized only if its drift exceeds 1e-12.  A single spec, of either
-kind, is marched in real Hermitian coordinates with the emitted energy as
-a 17th component, so it stays Hermitian with no re-Hermitization: each
-step is v + D v with a real RK4 increment map D: one per step size for a
-time-independent spec, :data:`CHUNK` steps' maps at a time otherwise.  A
-batch of time-independent bidirectional specs is advanced as one (N,4,4)
-stack, re-Hermitized after every step, with the same operations per
-cell, so a cell gets the same bits in any batch, batch of one included.
-Snapshots are checked for finiteness and positivity once, after the run.
+renormalized only if its drift exceeds 1e-12.  One march serves a single
+spec and a batch of N specs of either kind: an (N, m) batch of real
+Hermitian coordinates, the |Delta n| blocks the initial state fills plus
+the emitted energy, so it stays Hermitian with no re-Hermitization.  Each
+step is v + D v with a real RK4 increment map D: one per step size for
+time-independent specs, :data:`CHUNK` steps' maps at a time otherwise.
+Every cell sees the same operations, so it gets the same bits in any
+batch.  Snapshots are checked for finiteness and positivity once, after
+the run.
 """
 from __future__ import annotations
 
@@ -23,9 +23,9 @@ import numpy as np
 from .liouville import (
     LiouvillianSpec,
     SimulationError,
+    block_basis,
     coordinates,
     density_matrices,
-    generators,
     make_generator,
     validate_density_matrix,
 )
@@ -33,7 +33,7 @@ from .liouville import (
 DEFAULT_DT = 0.005  # resolves the fastest rate scales used here with wide margin
 MAX_STEPS = 10**7  # a window needing more steps is a configuration error, not a long run
 EIG_FLOOR = 1e-6  # a snapshot eigenvalue below -EIG_FLOOR is a positivity failure
-CHUNK = 64  # time-dependent steps whose RK4 increments are built at once: a real (64,17,17) stack, 148 kB
+CHUNK = 64  # time-dependent steps whose increment maps are built at once: (N,64,m,m), 148 kB a cell at m = 17
 
 
 class PositivityError(SimulationError):
@@ -80,9 +80,9 @@ class ChargingTrajectory:
     """Snapshots of the evolving state plus integrator diagnostics.
 
     ``states`` is (T,4,4) for a single spec and (N,T,4,4) for a batch of
-    N specs, whose ``max_trace_drift`` and ``min_eigenvalue`` are then
-    per-cell arrays.  For a single spec ``aux`` holds the energy emitted
-    into the waveguide by each snapshot time; for a batch it is None.
+    N specs, whose ``aux``, ``max_trace_drift`` and ``min_eigenvalue`` are
+    then per-cell arrays.  ``aux`` holds the energy emitted into the
+    waveguide by each snapshot time, (T,) or (N,T).
     """
 
     times: np.ndarray
@@ -120,92 +120,60 @@ def _check_snapshots(times: np.ndarray, states: np.ndarray) -> np.ndarray:
     return eigs.min(axis=1)
 
 
-def _march_stack(gen, rho, dt, n_full, rem, snaps):
-    """RK4 on an (N,4,4) stack of states under the time-independent rhs ``gen``.
+def _march(specs, rho0, aux0, grid, n_full, rem, snaps):
+    """RK4 on an (N, m) batch of block coordinates, one matvec per step.
 
-    Each step is re-Hermitized and its trace renormalized.  Returns the
-    (N,T,4,4) snapshots and the per-cell maximum trace drift.
+    Every cell starts from (coordinates of rho0, aux0) and marches the m
+    coordinates of :func:`block_basis`: 7 from |eg>, 17 from a full-rank
+    state.  A step's increment map D = h/6 (L1 + 2 A2 + 2 A3 + A4) is built
+    from the generators at the stage times t, t + h/2, t + h:
+    A2 = L2 (I + h/2 L1), A3 = L2 (I + h/2 A2) and A4 = L4 (I + h A3).  A
+    time-independent batch has one per step size, a time-dependent one
+    CHUNK steps' at a time.  Each step is v + D v, and only a cell whose
+    trace drifts by more than 1e-12 is renormalized.  Returns the (N,T,4,4)
+    snapshots, the (N,T) emitted energy and the per-cell maximum trace drift.
     """
-    drift_max = np.zeros(len(rho))
-    states = np.empty((len(rho), len(snaps), 4, 4), dtype=complex)
-    states[:, 0] = rho
-    k = 1
-    for i in range(snaps[-1]):
-        h = dt if i < n_full else rem
-        k1 = gen(rho)
-        k2 = gen(rho + (0.5 * h) * k1)
-        k3 = gen(rho + (0.5 * h) * k2)
-        k4 = gen(rho + h * k3)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = 0.5 * (rho + rho.conj().swapaxes(1, 2))
-        trace = rho.trace(0, 1, 2).real
-        drift = np.abs(trace - 1.0)
-        np.fmax(drift_max, drift, out=drift_max)
-        renorm = drift > 1e-12
-        if renorm.any():
-            np.divide(rho, trace[:, None, None], out=rho, where=renorm[:, None, None])
-        if i + 1 == snaps[k]:
-            states[:, k] = rho
-            k += 1
-    # a window too short for any step still ends in a snapshot
-    states[:, -1] = rho
-    return states, drift_max
+    x0 = coordinates(rho0)
+    idx, basis = block_basis(x0)
+    n, cells, m = snaps[-1], len(specs), len(idx)
+    coefficients = make_generator(specs)
 
-
-def _stage(L, A, c):
-    """L (I + c A), formed in place: temporaries of a chunk's size are slow to allocate."""
-    out = L @ A
-    return np.add(np.multiply(out, c, out=out), L, out=out)
-
-
-def _march_single(spec, rho0, aux0, grid, n_full, rem, snaps):
-    """RK4 on (real coordinates of rho, emitted energy), one matvec per step.
-
-    A step's increment map D = h/6 (L1 + 2 A2 + 2 A3 + A4) is built from the
-    generators at the stage times t, t + h/2, t + h: A2 = L2 (I + h/2 L1),
-    A3 = L2 (I + h/2 A2) and A4 = L4 (I + h A3); a time-independent spec has
-    one per step size, a time-dependent one CHUNK at a time.  Each step is
-    v + D v, and only the trace is renormalized.  Returns the (1,T,4,4)
-    snapshots, the (T,) emitted energy and the maximum trace drift.
-    """
-    def maps(i):  # the increment maps of steps i
+    def maps(i):  # the increment maps of steps i, (len(i), N, m, m)
         t, h = grid.t_start + i * grid.dt, np.where(i < n_full, grid.dt, rem)
-        L1, L2, L4 = generators(spec, np.stack([t, t + 0.5 * h, t + h]))
+        L = (coefficients(np.stack([t, t + 0.5 * h, t + h])) @ basis).reshape(cells, 3, len(i), m, m)
+        L1, L2, L4 = L.swapaxes(0, 1)
         h = h[:, None, None]
-        A2 = _stage(L2, L1, 0.5 * h)
-        A3 = _stage(L2, A2, 0.5 * h)
-        A4 = _stage(L4, A3, h)
-        incs = A2  # h/6 (L1 + 2 A2 + 2 A3 + A4), built in place
-        incs += A3
-        incs *= 2.0
-        incs += L1
-        incs += A4
-        incs *= h / 6.0
-        return incs
+        A2 = L2 + (L2 @ L1) * (0.5 * h)
+        A3 = L2 + (L2 @ A2) * (0.5 * h)
+        A4 = L4 + (L4 @ A3) * h
+        return (((A2 + A3) * 2.0 + L1 + A4) * (h / 6.0)).swapaxes(0, 1)
 
-    n = snaps[-1]
-    if callable(spec.params):
+    if any(callable(spec.params) for spec in specs):
         steps = chain.from_iterable(maps(np.arange(s, min(s + CHUNK, n))) for s in range(0, n, CHUNK))
     else:
         D = maps(np.array([0, n_full]))  # the maps of a step of dt and of rem
         steps = chain(repeat(D[0], n_full), D[1:n + 1 - n_full])
-    v = np.append(coordinates(rho0), aux0)
-    out = np.empty((len(snaps), 17))
+    v = np.repeat(np.append(x0, aux0)[idx][None], cells, axis=0)
+    column, populations = v[:, :, None], v[:, :4]
+    out = np.empty((len(snaps), cells, m))
     out[0] = v
-    drift_max, k = 0.0, 1
+    drift_max, k = [0.0] * cells, 1
     for step, d in enumerate(steps, 1):
-        v += d @ v
-        trace = sum(v[:4].tolist())
-        drift = abs(trace - 1.0)
-        drift_max = max(drift_max, drift)
-        if drift > 1e-12:
-            v[:16] /= trace
+        column += d @ column
+        for cell, x in enumerate(populations.tolist()):
+            trace = sum(x)
+            drift = abs(trace - 1.0)
+            if drift > drift_max[cell]:
+                drift_max[cell] = drift
+            if drift > 1e-12:
+                v[cell, :-1] /= trace
         if step == snaps[k]:
             out[k] = v
             k += 1
     out[-1] = v
-    # the flux is copied out, so the (T,17) array is freed before the snapshot check
-    return density_matrices(out[None, :, :16]), out[:, 16].copy(), np.array([drift_max])
+    full = np.zeros((cells, len(snaps), 17))
+    full[..., idx] = out.swapaxes(0, 1)
+    return density_matrices(full[..., :16]), full[..., 16].copy(), np.array(drift_max)
 
 
 def evolve(
@@ -217,13 +185,12 @@ def evolve(
 ) -> ChargingTrajectory:
     """Integrate the master equation over the grid.
 
-    ``spec`` is one spec, or a sequence of N time-independent bidirectional
-    specs integrated as one (N,4,4) stack from the common ``rho0``; a cell
-    gets the same bits in any batch, batch of one included.  A single spec
-    is marched in real coordinates and integrates the energy it emits into
-    the waveguide, Tr[L^dag L rho] for a cascaded spec, into ``traj.aux``,
-    starting from ``aux0``.  ``aux`` takes no value but None: there is no
-    co-integrated callback.
+    ``spec`` is one spec, or a sequence of N specs integrated as one batch
+    from the common ``rho0``; a cell gets the same bits in any batch, a
+    single spec included.  Each cell also integrates the energy it emits
+    into the waveguide, Tr[L^dag L rho] for a cascaded spec, into
+    ``traj.aux``, starting from ``aux0``.  ``aux`` takes no value but None:
+    there is no co-integrated callback.
 
     Raises :class:`PositivityError` if any recorded state has an eigenvalue
     below -1e-6 and :class:`DivergenceError` on non-finite values; both
@@ -246,16 +213,12 @@ def evolve(
     times[-1] = grid.t_end
     # a state that blows up keeps stepping quietly; the snapshot check names it
     with np.errstate(all="ignore"):
-        if single:
-            states, aux_vals, drift_max = _march_single(spec, rho0, aux0, grid, n_full, rem, snaps)
-        else:
-            rho = np.repeat(np.array(rho0, dtype=complex)[None], len(spec), axis=0)
-            states, drift_max = _march_stack(make_generator(spec), rho, grid.dt, n_full, rem, snaps)
-            aux_vals = None
-
+        states, aux_vals, drift_max = _march([spec] if single else spec, rho0, aux0, grid,
+                                             n_full, rem, snaps)
     min_eig = _check_snapshots(times, states)
     if single:
-        states, drift_max, min_eig = states[0], float(drift_max[0]), float(min_eig[0])
+        states, aux_vals = states[0], aux_vals[0]
+        drift_max, min_eig = float(drift_max[0]), float(min_eig[0])
     return ChargingTrajectory(
         times=times,
         states=states,

@@ -14,7 +14,9 @@ operator, with the matching anti-Hermitian exchange term in the
 Hamiltonian).  The bare transition frequency is rotated away; only the
 Lamb shifts appear in the coherent part.  Either kind's generator is a real
 17x17 matrix on real Hermitian coordinates of rho, with the emitted flux
-as a 17th component, so a state marched in them stays Hermitian.
+as a 17th component, so a state marched in them stays Hermitian.  Both
+kinds conserve the excitation number, so from |eg> only the 7 coordinates
+of the Delta n = 0 block move (:func:`block_basis`).
 """
 from __future__ import annotations
 
@@ -156,21 +158,6 @@ def jump_operator(params: CouplingParams, kind: str) -> np.ndarray:
     return 1j * (np.sqrt(ka) * SIGMA_MINUS_A + np.sqrt(kb) * SIGMA_MINUS_B)
 
 
-def effective_hamiltonian(spec: LiouvillianSpec, t: float = 0.0) -> np.ndarray:
-    """Coherent part of the generator at time t (exactly Hermitian).
-
-    Bidirectional: sum_j delta_j n_j + g_ab (sigma_a^+ sigma_b^- + h.c.).
-    Cascaded: sum_j delta_j n_j +/- |g_ab| * i(sigma_a^+ sigma_b^- - h.c.),
-    '+' when atom a is upstream (right-passing), '-' when atom b is.
-    """
-    p = spec.params_at(t)
-    H = p.delta_a * NUMBER_A + p.delta_b * NUMBER_B
-    if spec.dissipator_kind == BIDIRECTIONAL:
-        return H + p.g_ab * EXCHANGE
-    sign = 1.0 if spec.dissipator_kind == CASCADED_RIGHT else -1.0
-    return H + sign * abs(p.g_ab) * EXCHANGE_CHIRAL
-
-
 def _superoperator(action: Callable[[np.ndarray], np.ndarray], flux=np.zeros((4, 4))) -> np.ndarray:
     """17x17 matrix of a map on row-major vec(rho); row 16 is Tr[flux rho], column 16 is zero."""
     out = np.zeros((17, 17), dtype=complex)
@@ -186,12 +173,18 @@ def _commutator(H: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
 # real coordinates (rho_00..rho_33, Re rho_ij, Im rho_ij for i < j, flux):
 # P maps them to (vec(rho), flux), and Q = P^+ maps a Hermitian rho back
+_UPPER = np.triu_indices(4, 1)
 _P = np.zeros((17, 17), dtype=complex)
 _P[[0, 5, 10, 15, 16], [0, 1, 2, 3, 16]] = 1.0
-for _k, (_i, _j) in enumerate(zip(*np.triu_indices(4, 1))):  # rho_ij and rho_ji
+for _k, (_i, _j) in enumerate(zip(*_UPPER)):  # rho_ij and rho_ji
     _P[[4 * _i + _j, 4 * _j + _i], 4 + 2 * _k] = 1.0, 1.0
     _P[[4 * _i + _j, 4 * _j + _i], 5 + 2 * _k] = 1j, -1j
 _Q = _P.conj().T / np.abs(_P).sum(axis=0)[:, None]
+# |Delta n| of each coordinate: the change of excitation number (0, 1, 1, 2
+# in gg, ge, eg, ee) across rho_ij
+_EXCITATIONS = np.array([0, 1, 1, 2])
+_DELTA_N = np.concatenate([np.zeros(4, dtype=int),
+                           np.repeat(_EXCITATIONS[_UPPER[1]] - _EXCITATIONS[_UPPER[0]], 2)])
 
 
 def coordinates(rho: np.ndarray) -> np.ndarray:
@@ -222,6 +215,44 @@ _BASIS = (_Q @ np.stack([
 ]) @ _P).real.reshape(7, 17 * 17)
 
 
+def block_basis(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinates a state with :func:`coordinates` x moves on, and the basis on them.
+
+    Every generator here conserves the excitation number, so it never
+    couples coordinates of different |Delta n|.  Returns the indices of the
+    |Delta n| blocks where x is nonzero, then 16 (the flux), and the
+    (7, m * m) basis maps between those m coordinates; the others stay 0.
+    """
+    idx = np.append(np.flatnonzero(np.isin(_DELTA_N, _DELTA_N[x != 0])), 16)
+    return idx, _BASIS.reshape(7, 17, 17)[:, idx[:, None], idx].reshape(7, -1)
+
+
+def make_generator(specs: Sequence[LiouvillianSpec]) -> Callable[[np.ndarray], np.ndarray]:
+    """Coefficients of N specs on the fixed basis, as a function of time.
+
+    The returned function maps an array of times to the (N, *times.shape, 7)
+    coefficients, cell i under spec i; cell i's generator at a time is its
+    seven coefficients times the basis (:func:`generators`).  A
+    time-independent spec repeats its coefficients at every time.
+    """
+    def coefficients(times):
+        c = np.empty((len(specs), *np.shape(times), 7))
+        for cell, spec in zip(c, specs):
+            p = spec.params_at(times)
+            if spec.dissipator_kind == BIDIRECTIONAL:
+                values = (p.Gamma_a, p.Gamma_b, p.Gamma_coll, p.delta_a, p.delta_b, 0.0, p.g_ab)
+            else:
+                ka = 0.5 * np.maximum(p.Gamma_a, 0.0)
+                kb = 0.5 * np.maximum(p.Gamma_b, 0.0)
+                sign = 1.0 if spec.dissipator_kind == CASCADED_RIGHT else -1.0
+                values = (ka, kb, np.sqrt(ka * kb), p.delta_a, p.delta_b, sign * np.abs(p.g_ab), 0.0)
+            for k, value in enumerate(values):
+                cell[..., k] = value
+        return c
+
+    return coefficients
+
+
 def generators(spec: LiouvillianSpec, times) -> np.ndarray:
     """Real generators of a spec at each of an array of times, (..., 17, 17).
 
@@ -230,62 +261,8 @@ def generators(spec: LiouvillianSpec, times) -> np.ndarray:
     into the waveguide.  All times are one matmul of their seven
     coefficients with the fixed basis.
     """
-    p = spec.params_at(times)
-    if spec.dissipator_kind == BIDIRECTIONAL:
-        coeffs = (p.Gamma_a, p.Gamma_b, p.Gamma_coll, p.delta_a, p.delta_b, 0.0, p.g_ab)
-    else:
-        ka = 0.5 * np.maximum(p.Gamma_a, 0.0)
-        kb = 0.5 * np.maximum(p.Gamma_b, 0.0)
-        sign = 1.0 if spec.dissipator_kind == CASCADED_RIGHT else -1.0
-        coeffs = (ka, kb, np.sqrt(ka * kb), p.delta_a, p.delta_b, sign * np.abs(p.g_ab), 0.0)
-    c = np.empty((*np.shape(times), 7))
-    for k, value in enumerate(coeffs):
-        c[..., k] = value
+    c = make_generator([spec])(times)[0]
     return (c @ _BASIS).reshape(*c.shape[:-1], 17, 17)
-
-
-def make_generator(specs: Sequence[LiouvillianSpec]) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile N bidirectional specs into a fast rhs closure (no per-call validation).
-
-    The returned function maps an (N,4,4) stack of states, cell i under
-    spec i, to drho/dt = K rho + rho K^dag + jumps, where
-    K = -iH - 1/2 (Gamma_a n_a + Gamma_b n_b + Gamma_coll X) folds the
-    Hamiltonian and the anticommutator halves together.  The specs are
-    time-independent, so the closure takes no time.  A cascaded spec
-    raises ValueError: its generator is :func:`generators`.  Each cell sees
-    the same floating-point operations in any batch, batch of one
-    included: a jump term is added only where its rate is nonzero, and
-    skipped altogether when no cell has it.
-    """
-    if any(s.dissipator_kind != BIDIRECTIONAL for s in specs):
-        raise ValueError("make_generator takes bidirectional specs; see generators")
-    rates = np.array([(s.params.Gamma_a, s.params.Gamma_b, s.params.Gamma_coll) for s in specs])
-    K = np.stack([-1j * effective_hamiltonian(s) - 0.5 * (ga * NUMBER_A + gb * NUMBER_B + gc * EXCHANGE)
-                  for s, (ga, gb, gc) in zip(specs, rates.tolist())])
-    rates = rates.T[:, :, None, None]  # (3, N, 1, 1)
-
-    Kd = K.conj().swapaxes(-1, -2)
-    # each atom's (ground, excited) rows of rho in the index 2 n_a + n_b:
-    # sigma^- moves the excited rows onto the ground rows, so each jump term
-    # is a block copy.  Its matmul form multiplies only by 0 and 1 and sums
-    # at most one nonzero product, so the copies give the same bits (up to
-    # the sign of a zero).  The K products stay matmuls: reordering them
-    # (einsum, say) changes the rounding.
-    a, b = (slice(0, 2), slice(2, 4)), (slice(0, None, 2), slice(1, None, 2))
-    jumps = [(g, np.not_equal(g, 0.0), xy) for g, xy in zip(rates, ((a, a), (b, b), (a, b)))
-             if np.any(g != 0.0)]
-
-    def rhs_const(rho):
-        out = K @ rho + rho @ Kd
-        for g, nonzero, (x, y) in jumps:  # g sigma_x^- rho sigma_y^+ (+ the x <-> y term)
-            term = np.zeros_like(rho)
-            term[..., x[0], y[0]] = rho[..., x[1], y[1]]
-            if x is not y:  # Gamma_coll's two blocks share (0,0): rho_21 + rho_12
-                term[..., y[0], x[0]] += rho[..., y[1], x[1]]
-            np.add(out, g * term, out=out, where=nonzero)
-        return out
-
-    return rhs_const
 
 
 def rhs(spec: LiouvillianSpec, t: float, rho: np.ndarray) -> np.ndarray:

@@ -9,15 +9,17 @@ from gaqb.geometry import CouplingLayout, closed_form_params
 from gaqb.integrator import TimeGrid, evolve
 from gaqb.liouville import (
     BIDIRECTIONAL,
+    CASCADED_RIGHT,
     EXCHANGE,
+    EXCHANGE_CHIRAL,
     NUMBER_A,
     NUMBER_B,
     SIGMA_MINUS_A,
     SIGMA_MINUS_B,
     LiouvillianSpec,
+    coordinates,
     cross_dissipator,
     dissipator,
-    effective_hamiltonian,
     jump_operator,
 )
 
@@ -50,6 +52,21 @@ def spec_for(topo, theta, gamma=0.1):
     return LiouvillianSpec(closed_form_params(CouplingLayout(topo, theta, gamma)))
 
 
+def effective_hamiltonian(spec, t=0.0):
+    """Coherent part of the generator at time t (exactly Hermitian).
+
+    Bidirectional: sum_j delta_j n_j + g_ab (sigma_a^+ sigma_b^- + h.c.).
+    Cascaded: sum_j delta_j n_j +/- |g_ab| * i(sigma_a^+ sigma_b^- - h.c.),
+    '+' when atom a is upstream (right-passing), '-' when atom b is.
+    """
+    p = spec.params_at(t)
+    H = p.delta_a * NUMBER_A + p.delta_b * NUMBER_B
+    if spec.dissipator_kind == BIDIRECTIONAL:
+        return H + p.g_ab * EXCHANGE
+    sign = 1.0 if spec.dissipator_kind == CASCADED_RIGHT else -1.0
+    return H + sign * abs(p.g_ab) * EXCHANGE_CHIRAL
+
+
 def textbook_rhs(spec, t, rho):
     """drho/dt and the emitted-energy rate Tr[L^dag L rho] at time t,
     composed as the master equation is written: the commutator with H, and
@@ -68,15 +85,19 @@ def textbook_rhs(spec, t, rho):
     return -1j * (H @ rho - rho @ H) + jumps, np.trace(loss @ rho).real
 
 
-def k_form(spec):
-    """K = -iH - 1/2 (Gamma_a n_a + Gamma_b n_b + Gamma_coll X) of a
-    bidirectional spec, so drho/dt = K rho + rho K^dag + jumps, and the
-    three jump rates (Gamma_a, Gamma_b, Gamma_coll)."""
-    p = spec.params
-    K = -1j * effective_hamiltonian(spec) - 0.5 * (
-        p.Gamma_a * NUMBER_A + p.Gamma_b * NUMBER_B + p.Gamma_coll * EXCHANGE
-    )
-    return K, (p.Gamma_a, p.Gamma_b, p.Gamma_coll)
+# |Delta n| of each real coordinate of rho (the populations, then Re and Im
+# of rho_ij for i < j): the change of excitation number, 0, 1, 1, 2 in
+# gg, ge, eg, ee, across the entry
+_EXCITATIONS = (0, 1, 1, 2)
+_PAIR_DELTA_N = [abs(_EXCITATIONS[j] - _EXCITATIONS[i]) for i, j in zip(*np.triu_indices(4, 1))]
+DELTA_N = np.array([0, 0, 0, 0, *np.repeat(_PAIR_DELTA_N, 2)])
+
+
+def moving_coordinates(rho):
+    """Indices of the |Delta n| blocks where rho has a nonzero entry, then
+    the flux (16): the coordinates an excitation-conserving generator moves."""
+    x = coordinates(rho)
+    return np.append(np.flatnonzero(np.isin(DELTA_N, DELTA_N[x != 0])), 16)
 
 
 def random_density(rng, pure=False):

@@ -412,11 +412,12 @@ def test_dense_reruns_batched_bitwise():
         assert summary[f"argmax_{name}_t"].hex() == t.hex()
 
 
-# recorded before the jump terms became block copies; the E and sigma
+# recorded on the 7-coordinate block march (max_E was one ulp higher,
+# ...672p-2, on the complex (N,4,4) stack before it); the E and sigma
 # maxima of the mirror cells 8 and 42 differ by one ulp, so a change of
-# rounding in the rhs moves their argmax_*_theta to the mirror phase
+# rounding in the march can move their argmax_*_theta to the mirror phase
 NESTED_SHORT_SUMMARY = {
-    "max_E": "0x1.50de8fd6d1672p-2",
+    "max_E": "0x1.50de8fd6d1671p-2",
     "argmax_E_theta": "0x1.015bf9217271ap+0",
     "argmax_E_t": "0x1.c0a557388adefp+2",
     "max_ergotropy": "0x0.0p+0",

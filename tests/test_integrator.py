@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import convergence_order, k_form, random_density, spec_for, textbook_rhs
+from conftest import (
+    DELTA_N, convergence_order, moving_coordinates, random_density, spec_for, textbook_rhs,
+)
 from gaqb.chiral import ChiralProtocol, chiral_spec
 from gaqb.geometry import BRAIDED, NESTED, SEPARATED, CouplingParams
 from gaqb.integrator import DivergenceError, PositivityError, TimeGrid, evolve
 from gaqb.liouville import (
-    SIGMA_MINUS_A,
-    SIGMA_MINUS_B,
+    CASCADED_RIGHT,
     LiouvillianSpec,
     StateValidationError,
     coordinates,
@@ -154,14 +155,14 @@ def test_matches_exact_propagator():
 
 
 def test_aux_callback_rejected():
-    # no co-integrated callback: a single run's emitted energy fills traj.aux,
-    # and a batch has none
+    # no co-integrated callback: the emitted energy fills traj.aux, (T,) for a
+    # single run and (N,T) for a batch
     spec = spec_for(BRAIDED, math.pi / 2)
     for other in (spec, [spec], chiral_spec(ChiralProtocol(gamma_max=0.1, tau=10.0))):
         with pytest.raises(ValueError, match="no aux callback"):
             evolve(other, EG, TimeGrid(0.0, 1.0, dt=0.02), aux=lambda t, rho: 0.0)
     grid = TimeGrid(0.0, 1.0, dt=0.02)
-    assert evolve([spec], EG, grid, aux=None).aux is None
+    assert evolve([spec, spec], EG, grid, aux=None).aux.shape == (2, 51)
     assert evolve(spec, EG, grid, aux=None).aux.shape == (51,)
 
 
@@ -209,36 +210,6 @@ def test_cascaded_general_state_matches_per_stage_rk4(direction):
     assert np.abs(ledger - ledger[0]).max() <= 1e-12
 
 
-def reference_step(spec, rho, h):
-    """One step of the per-cell path: a 4x4 RK4 step whose rhs skips a
-    zero-rate jump term with an `if`, then re-Hermitization and the
-    drift > 1e-12 renormalization."""
-    K, (ga, gb, gc) = k_form(spec)
-    Kd = K.conj().T
-    sa, sb = SIGMA_MINUS_A, SIGMA_MINUS_B
-    sad, sbd = sa.conj().T, sb.conj().T
-
-    def gen(r):
-        out = K @ r + r @ Kd
-        if ga != 0.0:
-            out += ga * (sa @ r @ sad)
-        if gb != 0.0:
-            out += gb * (sb @ r @ sbd)
-        if gc != 0.0:
-            out += gc * (sa @ r @ sbd + sb @ r @ sad)
-        return out
-
-    k1 = gen(rho)
-    k2 = gen(rho + (0.5 * h) * k1)
-    k3 = gen(rho + (0.5 * h) * k2)
-    k4 = gen(rho + h * k3)
-    rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    rho = 0.5 * (rho + rho.conj().T)
-    if abs(rho.trace().real - 1.0) > 1e-12:
-        rho = rho / rho.trace().real
-    return rho
-
-
 # zero-rate (braided pi/2, separated pi) and dissipative cells, mirror pairs included
 MIXED_SPECS = [spec_for(BRAIDED, math.pi / 2), spec_for(NESTED, 1.1),
                spec_for(NESTED, 2 * math.pi - 1.1), spec_for(SEPARATED, math.pi),
@@ -251,17 +222,18 @@ def test_batch_matches_per_cell_path_bitwise():
     rho0 = random_density(np.random.default_rng(5))
     batch = evolve(MIXED_SPECS, rho0, MIXED_GRID)
     assert batch.states.shape == (5, len(batch.times), 4, 4)
+    assert batch.aux.shape == batch.states.shape[:2]
     assert batch.max_trace_drift.shape == batch.min_eigenvalue.shape == (5,)
+    steps = [0, *range(4, 43, 4), 43]
     for i, spec in enumerate(MIXED_SPECS):
         alone = evolve([spec], rho0, MIXED_GRID)
         assert alone.states.shape == (1, *batch.states.shape[1:])
         assert (alone.states[0].view(np.uint64) == batch.states[i].view(np.uint64)).all()
+        assert (alone.aux[0].view(np.uint64) == batch.aux[i].view(np.uint64)).all()
         assert alone.max_trace_drift[0] == batch.max_trace_drift[i]
-        rho = np.array(rho0, dtype=complex)
-        for _ in range(42):
-            rho = reference_step(spec, rho, 0.07)
-        rho = reference_step(spec, rho, 3.0 - 42 * 0.07)
-        assert (rho.view(np.uint64) == batch.states[i, -1].view(np.uint64)).all()
+        oracle, flux = per_stage_rk4(spec, rho0, MIXED_GRID)
+        assert np.abs(batch.states[i] - oracle[steps]).max() <= 1e-13
+        assert np.abs(batch.aux[i] - flux[steps]).max() <= 1e-13
 
 
 def test_bidirectional_general_state_matches_per_stage_rk4():
@@ -289,8 +261,58 @@ def test_single_run_energy_ledger():
         assert np.abs(ledger - 1.0).max() <= 1e-12, (topo.variant, theta)
 
 
+def test_batch_energy_ledger():
+    # the same ledger for every cell of a batch, as the sweep runs them:
+    # traj.aux holds each cell's emitted energy
+    specs = [spec_for(topo, theta) for topo in (BRAIDED, SEPARATED, NESTED)
+             for theta in np.linspace(0.0, 2.0 * math.pi, 9)]
+    traj = evolve(specs, EG, TimeGrid(0.0, 100.0, dt=0.04, sample_stride=5))
+    recs = compute_records(traj)
+    assert traj.aux.shape == recs.shape == (27, 501)
+    assert np.abs(recs.p_a + recs.p_b + traj.aux - 1.0).max() <= 1e-12
+
+
+def test_excitation_blocks_closed():
+    # every generator conserves the excitation number: none couples two
+    # coordinates of different |Delta n| (the flux counts as Delta n = 0),
+    # and from |eg> every entry of rho outside the Delta n = 0 block stays
+    # exactly 0, single run and batch alike
+    delta_n = np.append(DELTA_N, 0)
+    cross = delta_n[:, None] != delta_n
+    chiral = chiral_spec(ChiralProtocol(gamma_max=1.0, tau=2.0, theta=1.2, direction="left"))
+    specs = [spec_for(topo, theta) for topo in (BRAIDED, SEPARATED, NESTED) for theta in (0.4, 2.2)]
+    specs += [LiouvillianSpec(CouplingParams(0.3, -0.2, 0.5, 0.7, 0.1, -0.4)), chiral,
+              LiouvillianSpec(chiral.params(1.0), dissipator_kind=CASCADED_RIGHT)]
+    for spec in specs:
+        assert not generators(spec, np.array([0.0, 1.0, 2.0, 3.5]))[:, cross].any()
+    excitations = np.array([0, 1, 1, 2])
+    off_block = excitations[:, None] != excitations
+    grid = TimeGrid(0.0, 5.003, dt=0.01, sample_stride=25)
+    for states in (evolve(specs, EG, grid).states, evolve(chiral, EG, grid).states,
+                   evolve(specs[0], EG, grid).states):
+        assert not states[..., off_block].any()
+        assert states[..., ~off_block].any()
+
+
+def test_conjugate_phases_give_conjugate_states():
+    # H and the jump operators are real, and theta -> -theta flips the sign
+    # of every delta and g_ab and keeps the rates, so rho(-theta) = rho(theta)*
+    # exactly, and every real metric is equal bit for bit
+    thetas = (0.4, 1.3, math.pi / 2, 2.2, 3.0)
+    specs = [spec_for(topo, sign * theta) for topo in (BRAIDED, SEPARATED, NESTED)
+             for theta in thetas for sign in (1.0, -1.0)]
+    traj = evolve(specs, EG, TimeGrid(0.0, 20.0, dt=0.04, sample_stride=5))
+    states = traj.states.reshape(15, 2, *traj.states.shape[1:])
+    assert states[:, 0].imag.any()
+    assert (states[:, 1] == states[:, 0].conj()).all()
+    recs = compute_records(traj).reshape(15, 2, -1)
+    for name in ("E", "p_a", "sigma", "purity"):
+        assert (recs[name][:, 0].view(np.uint64) == recs[name][:, 1].view(np.uint64)).all(), name
+
+
 def chunked_march(spec, rho0, grid):
-    """The single-spec march with every step's own increment map: the maps
+    """The single-spec march with every step's own increment map: on the
+    coordinates of the blocks rho0 fills plus the flux, the maps
     D = h/6 (L1 + 2 A2 + 2 A3 + A4) of 64 steps at a time from the
     generators at their stage times, each step v + D v with the trace
     renormalized above 1e-12.  Returns the snapshots, the emitted energy
@@ -302,15 +324,16 @@ def chunked_march(spec, rho0, grid):
         rem = 0.0
     n = n_full + (rem > 0.0)
     snaps = [0, *range(grid.sample_stride, n, grid.sample_stride), n]
-    v = np.append(coordinates(rho0), 0.0)
-    out = np.empty((len(snaps), 17))
-    out[0] = v
+    idx = moving_coordinates(rho0)
+    v = np.append(coordinates(rho0), 0.0)[idx]
+    out = np.zeros((len(snaps), 17))
+    out[0, idx] = v
     drift_max, k = 0.0, 1
     for start in range(0, n, 64):
         i = np.arange(start, min(start + 64, n))
         t = grid.t_start + i * grid.dt
         h = np.where(i < n_full, grid.dt, rem)
-        L1, L2, L4 = generators(spec, np.stack([t, t + 0.5 * h, t + h]))
+        L1, L2, L4 = generators(spec, np.stack([t, t + 0.5 * h, t + h]))[..., idx[:, None], idx]
         h = h[:, None, None]
         A2 = L2 + (L2 @ L1) * (0.5 * h)
         A3 = L2 + (L2 @ A2) * (0.5 * h)
@@ -320,12 +343,12 @@ def chunked_march(spec, rho0, grid):
             trace = sum(v[:4].tolist())
             drift_max = max(drift_max, abs(trace - 1.0))
             if abs(trace - 1.0) > 1e-12:
-                v[:16] /= trace
+                v[:-1] /= trace
             if step == snaps[k]:
-                out[k] = v
+                out[k, idx] = v
                 k += 1
-    out[-1] = v
-    return density_matrices(out[None, :, :16])[0], out[:, 16], drift_max
+    out[-1, idx] = v
+    return density_matrices(out[:, :16]), out[:, 16], drift_max
 
 
 def test_single_march_matches_chunked_maps_bitwise():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import k_form, random_density, spec_for, textbook_rhs
+from conftest import effective_hamiltonian, random_density, spec_for, textbook_rhs
 from gaqb.chiral import ChiralProtocol, chiral_coupling_params, chiral_spec
 from gaqb.geometry import (
     BRAIDED, NESTED, SEPARATED, CouplingLayout, CouplingParams, closed_form_params,
@@ -12,17 +12,15 @@ from gaqb.liouville import (
     BIDIRECTIONAL,
     SIGMA_MINUS_A,
     SIGMA_MINUS_B,
-    SIGMA_PLUS_A,
-    SIGMA_PLUS_B,
     CASCADED_LEFT,
     CASCADED_RIGHT,
     LiouvillianSpec,
     StateValidationError,
+    block_basis,
     coordinates,
     cross_dissipator,
     density_matrices,
     dissipator,
-    effective_hamiltonian,
     generators,
     ket,
     make_generator,
@@ -239,28 +237,12 @@ def test_cascaded_superoperator_matches_textbook(theta, direction):
             assert np.abs(rhs(spec, t, rho) - expected).max() <= 1e-14
 
 
-def matmul_generator(specs):
-    """The jump terms as stacked matmuls, in the order make_generator adds them."""
-    parts = [k_form(s) for s in specs]
-    K = np.stack([k for k, _ in parts])
-    Kd = K.conj().swapaxes(-1, -2)
-    rates = np.array([r for _, r in parts]).T[:, :, None, None]
-    sa, sb, sad, sbd = SIGMA_MINUS_A, SIGMA_MINUS_B, SIGMA_PLUS_A, SIGMA_PLUS_B
-
-    def gen(rho):
-        out = K @ rho + rho @ Kd
-        a, b = sa @ rho, sb @ rho
-        for g, term in zip(rates, (a @ sad, b @ sbd, a @ sbd + b @ sad)):
-            if np.any(g != 0.0):
-                np.add(out, g * term, out=out, where=g != 0.0)
-        return out
-
-    return gen
-
-
 def test_generator_bits_match_matmul_form():
-    # cell i drops rate i (Gamma_a, Gamma_b, Gamma_coll); Lamb shifts and
-    # Gamma_coll take both signs
+    # random bidirectional cells (cell i < 3 drops rate i; Lamb shifts and
+    # Gamma_coll take both signs) and cascaded cells, constant and
+    # time-dependent: a cell's coefficients times the basis sliced to a
+    # state's blocks are the same slice of its generators, bit for bit, and
+    # a cell alone gets the coefficients it gets in the batch
     specs = []
     for i in range(12):
         lamb = RNG.normal(size=2)
@@ -268,25 +250,37 @@ def test_generator_bits_match_matmul_form():
         if i < 3:
             rates[i] = 0.0
         specs.append(LiouvillianSpec(CouplingParams(*lamb, RNG.normal(), *rates)))
-    only_coherent = [LiouvillianSpec(CouplingParams(-0.3, 0.2, 0.5, 0.0, 0.0, 0.0))]
-    for batch in (specs, specs[:1], specs[1:2], specs[2:3], only_coherent):
-        gen, ref = make_generator(batch), matmul_generator(batch)
-        for _ in range(5):
-            rho = RNG.normal(size=(len(batch), 4, 4)) + 1j * RNG.normal(size=(len(batch), 4, 4))
-            want = ref(rho).view(np.uint64)
-            assert (gen(rho).view(np.uint64) == want).all()
-            alone = make_generator(batch[-1:])(rho[-1:])  # the last cell in a batch of one
-            assert (alone.view(np.uint64) == want[-1:]).all()
+    specs += [cascaded_spec(CASCADED_RIGHT), cascaded_spec(CASCADED_LEFT),
+              chiral_spec(ChiralProtocol(gamma_max=0.1, tau=50.0, theta=1.2, direction="left"))]
+    times = np.array([[0.0, 30.0, 50.0], [80.0, 10.0, 49.5]])
+    c = make_generator(specs)(times)
+    assert c.shape == (len(specs), 2, 3, 7)
+    blocks = [block_basis(coordinates(rho)) for rho in (projector("eg"), random_density(RNG))]
+    assert [len(idx) for idx, _ in blocks] == [7, 17]
+    for i, spec in enumerate(specs):
+        alone = make_generator([spec])(times)
+        assert (alone.view(np.uint64) == c[i:i + 1].view(np.uint64)).all()
+        G = generators(spec, times)
+        for idx, basis in blocks:
+            got = (c[i] @ basis).reshape(2, 3, len(idx), len(idx))
+            assert (got.view(np.uint64) == G[..., idx[:, None], idx].view(np.uint64)).all()
 
 
 def test_rhs_linearity():
     spec = spec_for(NESTED, 1.1)
-    gen = make_generator([spec])
+    G = generators(spec, 0.0)
     for _ in range(10):
-        r1, r2 = random_density(RNG)[None], random_density(RNG)[None]
-        a, b = 0.3 + 0.1j, -0.7 + 0.2j
-        lhs = gen(a * r1 + b * r2)
-        np.testing.assert_allclose(lhs, a * gen(r1) + b * gen(r2), atol=1e-13)
+        x1, x2 = (np.append(coordinates(random_density(RNG)), 0.0) for _ in range(2))
+        a, b = 0.3, -0.7
+        np.testing.assert_allclose(G @ (a * x1 + b * x2), a * (G @ x1) + b * (G @ x2), atol=1e-13)
+    # and linear in the coefficients: the generators of the sum of two
+    # parameter sets are the sum of their generators
+    p, q = spec.params, spec_for(BRAIDED, 0.7).params
+    pq = CouplingParams(*(getattr(p, f) + getattr(q, f) for f in p.__dataclass_fields__))
+    c = make_generator([spec, LiouvillianSpec(q), LiouvillianSpec(pq)])(0.0)
+    np.testing.assert_allclose(c[0] + c[1], c[2], atol=1e-16)
+    np.testing.assert_allclose(G + generators(LiouvillianSpec(q), 0.0),
+                               generators(LiouvillianSpec(pq), 0.0), atol=1e-15)
     # convex combinations stay valid states, exercising the public path
     mix = 0.25 * projector("eg") + 0.75 * projector("ge")
     np.testing.assert_allclose(
@@ -320,5 +314,15 @@ def test_spec_validation():
         LiouvillianSpec(p, dissipator_kind="sideways")
     with pytest.raises(ValueError):
         LiouvillianSpec(lambda t: p, dissipator_kind=BIDIRECTIONAL)
-    with pytest.raises(ValueError, match="bidirectional"):  # a cascaded spec goes through generators
-        make_generator([cascaded_spec()])
+    # make_generator takes either kind, constant or time-dependent; a
+    # constant cell repeats its coefficients at every time, and a cascaded
+    # one weighs the basis by kappa_j = Gamma_j / 2
+    casc = cascaded_spec(CASCADED_LEFT)
+    c = make_generator([LiouvillianSpec(p), casc, chiral_spec(ChiralProtocol(0.1, 50.0))])(
+        np.array([0.0, 30.0]))
+    assert c.shape == (3, 2, 7)
+    assert c[0].tolist() == [[p.Gamma_a, p.Gamma_b, p.Gamma_coll, p.delta_a, p.delta_b, 0.0, p.g_ab]] * 2
+    q = casc.params
+    ka, kb = q.Gamma_a / 2, q.Gamma_b / 2
+    assert c[1].tolist() == [[ka, kb, math.sqrt(ka * kb), q.delta_a, q.delta_b, -abs(q.g_ab), 0.0]] * 2
+    assert not np.array_equal(c[2, 0], c[2, 1])
