@@ -9,19 +9,16 @@ chiral   pitch-catch transfer run with leakage bookkeeping
 
 Output is CSV (header row, 17-significant-digit floats, '\\n' endings,
 summary as trailing '#' lines) or JSON ({"records": [...], "summary":
-{...}}).  Identical configurations produce byte-identical outputs, serial
-or parallel.  Exit codes: 0 success, 1 usage/config error, 2 numerical
-failure.
+{...}}).  Identical configurations produce byte-identical outputs.  Exit
+codes: 0 success, 1 usage/config error, 2 numerical failure.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import Optional, get_type_hints
 
@@ -58,7 +55,7 @@ class RunConfig:
     theta_max: float = 2.0 * math.pi
     theta_steps: int = 201
     metrics: str = "E,ergotropy,sigma,power"
-    workers: int = 0  # 0 = number of processors this process may use
+    workers: int = 0  # accepted for old command lines; the sweep runs in one process
     # chiral protocol
     gamma_max: float = 0.1
     tau_scaled: float = 10.0
@@ -245,18 +242,17 @@ def run_charge(cfg: RunConfig):
     return CHARGE_HEADER, np.column_stack([recs[name] for name in CHARGE_HEADER])
 
 
-def _sweep_cell(args):
-    """Metric tables of a run of theta cells, integrated as one batch.
+def _sweep_cell(cfg: RunConfig, thetas, stride: int) -> np.ndarray:
+    """Metric tables of theta cells, integrated as one batch.
 
-    Module-level so worker processes can unpickle it.  Returns an (N,T,6)
-    array of (t, E, ergotropy, sigma, power, energy_power) per cell; a
-    cell's table has the same bits alone or in any batch.
+    Returns an (N,T,6) array of (t, E, ergotropy, sigma, power,
+    energy_power) per cell; a cell's table has the same bits alone or in
+    any batch.
     """
-    thetas, topology, gamma, tmax, dt, stride = args
-    topo = BUILTIN_TOPOLOGIES[topology]
-    specs = [LiouvillianSpec(closed_form_params(CouplingLayout(topo, th, gamma)))
+    topo = BUILTIN_TOPOLOGIES[cfg.topology]
+    specs = [LiouvillianSpec(closed_form_params(CouplingLayout(topo, th, cfg.gamma)))
              for th in thetas]
-    grid = TimeGrid(0.0, tmax, dt=dt, sample_stride=stride)
+    grid = TimeGrid(0.0, cfg.tmax, dt=cfg.dt, sample_stride=stride)
     try:
         traj = evolve(specs, projector("eg"), grid)
     except SimulationError as exc:
@@ -295,41 +291,23 @@ class SweepResult:
 def run_sweep(cfg: RunConfig) -> SweepResult:
     """Charging metrics over the theta grid, plus refined global maxima.
 
-    The theta grid is split into ``min(workers, theta_steps, processors)``
-    contiguous shards, counting the processors this process may run on,
-    each shard integrated as one batch; shards beyond the first run on a
-    spawn pool, one process each.  The output ordering
-    is theta-major and identical for any split.  The summary holds, for
-    each metric, the grid maximum refined by a dense (every-step) rerun at
-    the best theta followed by three-point parabolic interpolation (the
-    distinct best thetas rerun as one batch), and also the largest
-    end-of-window battery energy (steady storage level).  A tie between
-    thetas goes to the first, so a metric that is 0 everywhere (ergotropy
-    and power in the nested layout) reports ``theta_min``.
+    The whole theta grid is integrated as one batch, theta-major.  The
+    summary holds, for each metric, the grid maximum refined by a dense
+    (every-step) rerun at the best theta followed by three-point
+    parabolic interpolation (the distinct best thetas rerun as one
+    batch), and also the largest end-of-window battery energy (steady
+    storage level).  A tie between thetas goes to the first, so a metric
+    that is 0 everywhere (ergotropy and power in the nested layout)
+    reports ``theta_min``.
     """
     thetas = _theta_grid(cfg)
-    # os.cpu_count() also counts processors outside this process's affinity mask
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    rest = (cfg.topology, cfg.gamma, cfg.tmax, cfg.dt, cfg.sample_stride)
-    shards = [(tuple(part.tolist()), *rest)
-              for part in np.array_split(thetas, min(cfg.workers or cpus, len(thetas), cpus))]
-    if len(shards) == 1:
-        tables = [_sweep_cell(shards[0])]
-    else:
-        # spawned workers start from clean interpreters; forking a process
-        # whose BLAS thread pool is mid-operation can deadlock the children.
-        # This process runs the first shard while the pool runs the others.
-        ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=len(shards) - 1, mp_context=ctx) as pool:
-            others = pool.map(_sweep_cell, shards[1:])
-            tables = [_sweep_cell(shards[0]), *others]
-    cells = np.concatenate(tables)
+    cells = _sweep_cell(cfg, thetas.tolist(), cfg.sample_stride)
 
     # np.argmax takes the first of equal maxima
     best = {name: float(thetas[np.argmax(cells[:, :, col].max(axis=1))])
             for name, col in _CELL_COLS.items()}
     reruns = tuple(dict.fromkeys(best.values()))
-    dense = dict(zip(reruns, _sweep_cell((reruns, cfg.topology, cfg.gamma, cfg.tmax, cfg.dt, 1))))
+    dense = dict(zip(reruns, _sweep_cell(cfg, reruns, 1)))
     summary: dict = {}
     for name, col in _CELL_COLS.items():
         cell = dense[best[name]]

@@ -90,11 +90,13 @@ def closed_form_params(layout: CouplingLayout) -> CouplingParams:
     g = layout.gamma
     variant = layout.topology.variant
     if variant == "braided":
-        # 3 sin(th) + sin(3 th) = 2 sin(th) (2 + cos(2 th));  3 cos + cos3 = 4 cos^3
+        # 3 sin(th) + sin(3 th) = 2 sin(th) (2 + cos(2 th));  3 cos + cos3 = 4 cos^3,
+        # taken as Gamma cos(th) so that |Gamma_coll| <= Gamma holds in floating
+        # point and both are exactly 0 at the decoherence-free points
         delta = g * math.sin(2.0 * th)
         g_ab = g * math.sin(th) * (2.0 + math.cos(2.0 * th))
         Gamma = 2.0 * g * (1.0 + math.cos(2.0 * th))
-        Gamma_coll = 4.0 * g * math.cos(th) ** 3
+        Gamma_coll = Gamma * math.cos(th)
         return CouplingParams(delta, delta, g_ab, Gamma, Gamma, Gamma_coll)
     if variant == "separated":
         # sin(th) + 2 sin(2 th) + sin(3 th) = 2 sin(2 th) (1 + cos(th))

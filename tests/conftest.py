@@ -31,8 +31,7 @@ def sweep():
 
     def get(topology):
         if topology not in cache:
-            cfg = RunConfig(topology=topology, dt=0.04, sample_stride=5,
-                            theta_steps=201, workers=0)
+            cfg = RunConfig(topology=topology, dt=0.04, sample_stride=5, theta_steps=201)
             cache[topology] = run_sweep(cfg)
         return cache[topology]
 

@@ -285,11 +285,17 @@ def test_c13_power_scales_linearly_in_gamma():
 def test_c14_byte_determinism(tmp_path):
     args = ["sweep", "--topology", "nested", "--theta-min", "0.5", "--theta-max", "1.5",
             "--theta-steps", "5", "--tmax", "10", "--dt", "0.02", "--stride", "20"]
-    files = [tmp_path / n for n in ("a.csv", "b.csv", "c.csv")]
-    assert main(args + ["--workers", "1", "--out", str(files[0])]) == 0
-    assert main(args + ["--workers", "1", "--out", str(files[1])]) == 0
+    files = [tmp_path / n for n in ("a.csv", "b.csv", "c.csv", "d.csv")]
+    assert main(args + ["--out", str(files[0])]) == 0
+    assert main(args + ["--out", str(files[1])]) == 0
+    # --workers and the workers key are accepted for old command lines and ignored
     assert main(args + ["--workers", "2", "--out", str(files[2])]) == 0
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("workers = 3\n", encoding="utf-8")
+    assert main(args + ["--config", str(cfg_file), "--out", str(files[3])]) == 0
+    assert main(args + ["--workers", "-1", "--out", str(tmp_path / "e.csv")]) == 1
     serial_repeat = files[0].read_bytes() == files[1].read_bytes()
-    serial_vs_parallel = files[0].read_bytes() == files[2].read_bytes()
-    report("C14 determinism", serial_repeat and serial_vs_parallel,
-           f"serial repeat identical: {serial_repeat}, serial == parallel: {serial_vs_parallel}")
+    workers_ignored = all(f.read_bytes() == files[0].read_bytes() for f in files[2:])
+    report("C14 determinism", serial_repeat and workers_ignored,
+           f"repeat identical: {serial_repeat}, --workers 2 and workers = 3 identical: "
+           f"{workers_ignored}")

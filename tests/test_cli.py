@@ -2,13 +2,13 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
-from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-import gaqb.cli
 from gaqb.cli import (
     _CELL_COLS,
     CHARGE_HEADER,
@@ -173,7 +173,7 @@ def test_charge_command_columns_and_determinism(tmp_path):
 
 def test_sweep_output_shape_and_summary(tmp_path):
     out = tmp_path / "sweep.csv"
-    assert main(SWEEP_ARGS + ["--workers", "1", "--out", str(out)]) == 0
+    assert main(SWEEP_ARGS + ["--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "theta,t,E,ergotropy,sigma,power"
     data = [l for l in lines if not l.startswith("#")]
@@ -187,8 +187,7 @@ def test_sweep_output_shape_and_summary(tmp_path):
 
 def test_sweep_metric_subset(tmp_path):
     out = tmp_path / "sweep.csv"
-    assert main(SWEEP_ARGS + ["--workers", "1", "--metrics", "E,energy_power",
-                              "--out", str(out)]) == 0
+    assert main(SWEEP_ARGS + ["--metrics", "E,energy_power", "--out", str(out)]) == 0
     assert out.read_text().splitlines()[0] == "theta,t,E,energy_power"
 
 
@@ -309,7 +308,7 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
     assert rc == 2
     assert "numerical failure" in capsys.readouterr().err
     rc = main(["sweep", "--theta-min", "0.25", "--theta-max", "1", "--theta-steps", "2",
-               "--dt", "40", "--tmax", "20000", "--stride", "1000000000", "--workers", "1"])
+               "--dt", "40", "--tmax", "20000", "--stride", "1000000000"])
     assert rc == 2
     assert "sweep cell theta = 0.25 failed: non-finite state at t = " in capsys.readouterr().err
     # the chiral coefficients overflow (sqrt(Gamma_a Gamma_b) at Gamma_max = 1e300),
@@ -324,25 +323,35 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
     assert "numerical failure: coefficients at theta = 0 are not finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("workers", [1, 2, 5])
-def test_sweep_cells_bit_identical_in_any_shard(workers):
+def test_sweep_cells_bit_identical_alone_and_in_grid():
     # mirror pairs theta, 2 pi - theta in the nested layout, where the
     # summary's argmax can rest on a 1e-16 difference between the two
     lo = 0.4
     cfg = RunConfig(topology="nested", theta_min=lo, theta_max=2 * math.pi - lo, theta_steps=4,
-                    tmax=6.0, dt=0.04, sample_stride=5, workers=workers)
+                    tmax=6.0, dt=0.04, sample_stride=5)
     res = run_sweep(cfg)
     assert len(res.cells) == 4
     for th, cell in zip(res.thetas, res.cells):
-        alone = _sweep_cell(((float(th),), "nested", cfg.gamma, cfg.tmax, cfg.dt, 5))[0]
+        alone = _sweep_cell(cfg, [float(th)], 5)[0]
         assert alone.shape == cell.shape
         assert (alone.view(np.uint64) == cell.view(np.uint64)).all()
+
+
+def test_cli_import_loads_no_process_pool():
+    # the sweep runs in this process; the pool modules would only add setup time
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, gaqb.cli; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_sweep_ties_go_to_first_theta():
     # ergotropy and power are exactly 0 on every nested cell
     cfg = RunConfig(topology="nested", theta_min=0.3, theta_max=5.0, theta_steps=4,
-                    tmax=6.0, dt=0.04, sample_stride=5, workers=1)
+                    tmax=6.0, dt=0.04, sample_stride=5)
     summary = run_sweep(cfg).summary
     for name in ("ergotropy", "power"):
         assert summary[f"max_{name}"] == 0.0
@@ -350,63 +359,16 @@ def test_sweep_ties_go_to_first_theta():
         assert summary[f"argmax_{name}_t"] == 0.0
 
 
-def test_pool_processes_capped_by_processor_count(monkeypatch):
-    class RecordingPool:
-        """Runs the mapped shards in this process and records its size."""
-
-        def __init__(self, max_workers, mp_context):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, shards):
-            shards = list(shards)
-            mapped.append(len(shards))
-            return [fn(shard) for shard in shards]
-
-    sizes, mapped = [], []
-    monkeypatch.setattr(gaqb.cli, "ProcessPoolExecutor", RecordingPool)
-    # 3 of 64 processors usable
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    cfg = RunConfig(topology="braided", theta_max=3.0, theta_steps=9, tmax=2.0, dt=0.05,
-                    sample_stride=10)
-    serial = run_sweep(replace(cfg, workers=1))
-    assert sizes == mapped == []
-
-    def check(workers, procs, shards):
-        res = run_sweep(replace(cfg, workers=workers))
-        assert (sizes.pop(), mapped.pop()) == (procs, shards - 1)
-        assert (res.cells.view(np.uint64) == serial.cells.view(np.uint64)).all()
-        assert res.summary == serial.summary
-
-    for workers, procs, shards in ((10000, 2, 3), (4, 2, 3), (2, 1, 2), (0, 2, 3)):
-        check(workers, procs, shards)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # pinned to 2 of 64
-    check(0, 1, 2)
-    # without an affinity call, the processor count
-    monkeypatch.delattr(os, "sched_getaffinity")
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    check(0, 2, 3)
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert run_sweep(replace(cfg, workers=0)).summary == serial.summary
-    assert sizes == mapped == []
-
-
 def test_dense_reruns_batched_bitwise():
     # nested: ergotropy and power are 0 everywhere, so they pick theta_min
     # while E and sigma pick another theta; one batch reruns both
     cfg = RunConfig(topology="nested", theta_min=0.3, theta_max=5.0, theta_steps=5,
-                    tmax=10.0, dt=0.04, sample_stride=5, workers=1)
+                    tmax=10.0, dt=0.04, sample_stride=5)
     summary = run_sweep(cfg).summary
     best = {name: summary[f"argmax_{name}_theta"] for name in _CELL_COLS}
     assert len(set(best.values())) >= 2
     for name, col in _CELL_COLS.items():
-        cell = _sweep_cell(((best[name],), "nested", cfg.gamma, cfg.tmax, cfg.dt, 1))[0]
+        cell = _sweep_cell(cfg, [best[name]], 1)[0]
         t, f = _parabolic_peak(cell[:, 0], cell[:, col], int(np.argmax(cell[:, col])))
         assert summary[f"max_{name}"].hex() == f.hex()
         assert summary[f"argmax_{name}_t"].hex() == t.hex()
@@ -438,8 +400,7 @@ NESTED_SHORT_SUMMARY = {
 
 
 def test_nested_sweep_summary_recorded_bits():
-    cfg = RunConfig(topology="nested", theta_steps=51, tmax=20.0, dt=0.04, sample_stride=5,
-                    workers=1)
+    cfg = RunConfig(topology="nested", theta_steps=51, tmax=20.0, dt=0.04, sample_stride=5)
     summary = run_sweep(cfg).summary
     assert {k: v.hex() for k, v in summary.items()} == NESTED_SHORT_SUMMARY
 
@@ -462,7 +423,7 @@ def test_run_sweep_refinement_close_to_analytic():
     # tiny braided sweep pinned to the lossless ridge: the refined sigma
     # maximum must hit 1/2 (population crossing one half) well inside 1e-3
     cfg = RunConfig(theta_min=math.pi / 2 - 0.05, theta_max=math.pi / 2 + 0.05,
-                    theta_steps=3, tmax=40.0, dt=0.02, sample_stride=10, workers=1)
+                    theta_steps=3, tmax=40.0, dt=0.02, sample_stride=10)
     res = run_sweep(cfg)
     assert res.summary["max_sigma"] == pytest.approx(0.5, abs=1e-5)
     assert res.summary["max_E"] == pytest.approx(1.0, abs=1e-5)
@@ -470,7 +431,7 @@ def test_run_sweep_refinement_close_to_analytic():
     # the dense rerun ends in a 0.45 step after 31 steps of 0.5, next to
     # the peak at t = 5 pi: the parabola must use both spacings
     cfg = RunConfig(theta_min=math.pi / 2, theta_max=1.58, theta_steps=2, tmax=15.95,
-                    dt=0.5, sample_stride=1, workers=1)
+                    dt=0.5, sample_stride=1)
     res = run_sweep(cfg)
     assert res.summary["max_E"] <= 1.0
     assert abs(res.summary["argmax_E_t"] - 5 * math.pi) < 1e-4

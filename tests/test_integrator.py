@@ -36,6 +36,17 @@ def test_rabi_oracle_braided_df():
     assert np.abs(pb - np.sin(0.1 * traj.times) ** 2).max() <= 1e-6
 
 
+def test_braided_decoherence_free_points_exactly_lossless():
+    # every rate is exactly 0 at the decoherence-free phases and their ulp
+    # neighbours, so the default charge window emits no energy at all
+    for theta in (math.pi / 2, 3 * math.pi / 2):
+        for th in (math.nextafter(theta, 0.0), theta, math.nextafter(theta, 7.0)):
+            p = spec_for(BRAIDED, th).params
+            assert p.Gamma_a == p.Gamma_b == p.Gamma_coll == 0.0
+        traj = evolve(spec_for(BRAIDED, theta), EG, TimeGrid(0.0, 100.0, dt=0.005, sample_stride=50))
+        assert not traj.aux.any()
+
+
 def test_dark_state_half_population_braided_zero():
     # initial |eg> overlaps the non-decaying antisymmetric state with weight 1/2
     traj = evolve(spec_for(BRAIDED, 0.0), EG, TimeGrid(0.0, 100.0, dt=0.02, sample_stride=100))
