@@ -323,12 +323,14 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
     assert "numerical failure: coefficients at theta = 0 are not finite" in capsys.readouterr().err
 
 
-def test_sweep_cells_bit_identical_alone_and_in_grid():
+@pytest.mark.parametrize("workers", [1, 2, 5])
+def test_sweep_cells_bit_identical_in_any_shard(workers):
     # mirror pairs theta, 2 pi - theta in the nested layout, where the
-    # summary's argmax can rest on a 1e-16 difference between the two
+    # summary's argmax can rest on a 1e-16 difference between the two;
+    # the workers setting is still accepted and must not change a bit
     lo = 0.4
     cfg = RunConfig(topology="nested", theta_min=lo, theta_max=2 * math.pi - lo, theta_steps=4,
-                    tmax=6.0, dt=0.04, sample_stride=5)
+                    tmax=6.0, dt=0.04, sample_stride=5, workers=workers)
     res = run_sweep(cfg)
     assert len(res.cells) == 4
     for th, cell in zip(res.thetas, res.cells):
