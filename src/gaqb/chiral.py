@@ -28,7 +28,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .geometry import CouplingParams
-from .integrator import ChargingTrajectory, TimeGrid, evolve
+from .integrator import DEFAULT_DT, ChargingTrajectory, TimeGrid, evolve
 from .liouville import (
     CASCADED_LEFT,
     CASCADED_RIGHT,
@@ -151,7 +151,7 @@ def default_stride(t_end: float, dt: float) -> int:
     return max(1, round(t_end / dt / 600))
 
 
-def default_grid(p: ChiralProtocol, dt: float = 0.005) -> TimeGrid:
+def default_grid(p: ChiralProtocol, dt: float = DEFAULT_DT) -> TimeGrid:
     """Window [0, 3 tau] with the stride of :func:`default_stride`."""
     t_end = 3.0 * p.tau
     return TimeGrid(0.0, t_end, dt=dt, sample_stride=default_stride(t_end, dt))

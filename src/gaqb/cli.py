@@ -24,14 +24,13 @@ from typing import Optional, get_type_hints
 
 import numpy as np
 
-from .chiral import ChiralProtocol, default_stride, run_transfer
+from .chiral import LEFT_TO_CHARGER, RIGHT_TO_BATTERY, ChiralProtocol, default_stride, run_transfer
 from .geometry import BUILTIN_TOPOLOGIES, CouplingLayout, closed_form_params
-from .integrator import MAX_STEPS, TimeGrid, evolve
+from .integrator import DEFAULT_DT, MAX_STEPS, TimeGrid, evolve
 from .liouville import LiouvillianSpec, SimulationError, projector
 from .metrics import compute_records
 
 SWEEP_METRICS = ("E", "ergotropy", "sigma", "power", "energy_power")
-_CELL_COLS = {name: col for col, name in enumerate(SWEEP_METRICS, start=1)}
 
 
 class ConfigError(Exception):
@@ -46,7 +45,7 @@ class RunConfig:
     theta: float = math.pi / 2
     gamma: float = 0.1
     tmax: float = 100.0
-    dt: float = 0.005
+    dt: float = DEFAULT_DT
     sample_stride: int = 50
     out: Optional[str] = None
     format: str = "csv"
@@ -59,10 +58,16 @@ class RunConfig:
     # chiral protocol
     gamma_max: float = 0.1
     tau_scaled: float = 10.0
-    direction: str = "right"
+    direction: str = RIGHT_TO_BATTERY
 
 
 _FIELD_TYPES = get_type_hints(RunConfig)
+# the values a string field may take, as flag choices and in config files
+_CHOICES = {
+    "topology": sorted(BUILTIN_TOPOLOGIES),
+    "format": ("csv", "json"),
+    "direction": (RIGHT_TO_BATTERY, LEFT_TO_CHARGER),
+}
 _NUMBER_KINDS = {int: "an integer", float: "a number"}
 _THETA_LIMIT = sys.float_info.max / 3.0  # the coefficients take sin and cos of up to 3 theta
 _CSV_BLOCK = 256  # CSV rows formatted by one % operation
@@ -84,7 +89,7 @@ def read_config_file(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     for lineno, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
@@ -100,12 +105,9 @@ def read_config_file(path: str) -> dict:
 
 
 def validate_config(cfg: RunConfig) -> RunConfig:
-    if cfg.topology not in BUILTIN_TOPOLOGIES:
-        raise ConfigError(f"unknown topology {cfg.topology!r}")
-    if cfg.format not in ("csv", "json"):
-        raise ConfigError(f"format must be 'csv' or 'json', got {cfg.format!r}")
-    if cfg.direction not in ("right", "left"):
-        raise ConfigError(f"direction must be 'right' or 'left', got {cfg.direction!r}")
+    for name, allowed in _CHOICES.items():
+        if getattr(cfg, name) not in allowed:
+            raise ConfigError(f"{name} must be one of {', '.join(allowed)}, got {getattr(cfg, name)!r}")
     for name, kind in _FIELD_TYPES.items():
         if kind is float and not math.isfinite(getattr(cfg, name)):
             raise ConfigError(f"{name} must be finite")
@@ -219,7 +221,7 @@ def run_params(cfg: RunConfig):
     rows = []
     for th in _theta_grid(cfg):
         p = closed_form_params(CouplingLayout(topo, float(th), cfg.gamma))
-        row = (th, p.g_ab, p.Gamma_a, p.Gamma_b, p.Gamma_coll, p.delta_a, p.delta_b)
+        row = (th, *(getattr(p, name) for name in PARAMS_HEADER[1:]))
         if not all(map(math.isfinite, row)):
             raise SimulationError(f"coefficients at theta = {th:.10g} are not finite")
         rows.append(row)
@@ -242,11 +244,12 @@ def run_charge(cfg: RunConfig):
     return CHARGE_HEADER, np.column_stack([recs[name] for name in CHARGE_HEADER])
 
 
-def _sweep_cell(cfg: RunConfig, thetas, stride: int) -> np.ndarray:
-    """Metric tables of theta cells, integrated as one batch.
+def _sweep_cell(cfg: RunConfig, thetas, stride: int) -> np.recarray:
+    """Metric records of theta cells, integrated as one batch.
 
-    Returns an (N,T,6) array of (t, E, ergotropy, sigma, power,
-    energy_power) per cell; a cell's table has the same bits alone or in
+    Returns the (N,T) record array of :func:`compute_records`, a row per
+    cell and a field per metric (``cells.E[i]`` is cell i's battery
+    energy over time); a cell's records have the same bits alone or in
     any batch.
     """
     topo = BUILTIN_TOPOLOGIES[cfg.topology]
@@ -258,8 +261,7 @@ def _sweep_cell(cfg: RunConfig, thetas, stride: int) -> np.ndarray:
     except SimulationError as exc:
         theta = thetas[getattr(exc, "cell", 0)]
         raise SimulationError(f"sweep cell theta = {theta:.10g} failed: {exc}") from exc
-    recs = compute_records(traj)
-    return np.stack([recs[name] for name in ("t", *_CELL_COLS)], axis=-1)
+    return compute_records(traj)
 
 
 def _parabolic_peak(ts, fs, i):
@@ -283,8 +285,10 @@ def _parabolic_peak(ts, fs, i):
 
 @dataclass
 class SweepResult:
+    """The theta grid, its cells' (N,T) metric records and the summary."""
+
     thetas: np.ndarray
-    cells: np.ndarray  # (N,T,6): (t, E, ergotropy, sigma, power, energy_power) per theta
+    cells: np.recarray  # from _sweep_cell: cells[name][i] is metric name over time at thetas[i]
     summary: dict
 
 
@@ -304,21 +308,20 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
     cells = _sweep_cell(cfg, thetas.tolist(), cfg.sample_stride)
 
     # np.argmax takes the first of equal maxima
-    best = {name: float(thetas[np.argmax(cells[:, :, col].max(axis=1))])
-            for name, col in _CELL_COLS.items()}
+    best = {name: float(thetas[np.argmax(cells[name].max(axis=1))]) for name in SWEEP_METRICS}
     reruns = tuple(dict.fromkeys(best.values()))
     dense = dict(zip(reruns, _sweep_cell(cfg, reruns, 1)))
     summary: dict = {}
-    for name, col in _CELL_COLS.items():
+    for name in SWEEP_METRICS:
         cell = dense[best[name]]
-        t_peak, f_peak = _parabolic_peak(cell[:, 0], cell[:, col], int(np.argmax(cell[:, col])))
+        t_peak, f_peak = _parabolic_peak(cell.t, cell[name], int(np.argmax(cell[name])))
         summary[f"max_{name}"] = f_peak
         summary[f"argmax_{name}_theta"] = best[name]
         summary[f"argmax_{name}_t"] = t_peak
 
     # steady storage level: battery energy at the end of the window
-    end = int(np.argmax(cells[:, -1, 1]))
-    summary["max_E_end"] = float(cells[end, -1, 1])
+    end = int(np.argmax(cells.E[:, -1]))
+    summary["max_E_end"] = float(cells.E[end, -1])
     summary["argmax_E_end_theta"] = float(thetas[end])
     return SweepResult(thetas=thetas, cells=cells, summary=summary)
 
@@ -356,35 +359,23 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-# each flag once, with its add_argument keywords
-_FLAGS = {
-    "--topology": {"choices": sorted(BUILTIN_TOPOLOGIES)},
-    "--theta": {"type": float},
-    "--gamma": {"type": float},
-    "--tmax": {"type": float},
-    "--dt": {"type": float},
-    "--stride": {"type": int, "dest": "sample_stride"},
-    "--theta-min": {"type": float},
-    "--theta-max": {"type": float},
-    "--theta-steps": {"type": int},
-    "--metrics": {},
-    "--workers": {"type": int},
-    "--gamma-max": {"type": float},
-    "--tau-scaled": {"type": float},
-    "--direction": {"choices": ("right", "left")},
-}
-_NUMERIC_FLAGS = {flag for flag, kw in _FLAGS.items() if kw.get("type") in (int, float)}
-_GRID = ("--theta-min", "--theta-max", "--theta-steps")
-_RUN = ("--tmax", "--dt", "--stride")
+def _flag(field: str) -> str:
+    """A RunConfig field's flag: --field-name, and --stride for sample_stride."""
+    return "--stride" if field == "sample_stride" else "--" + field.replace("_", "-")
 
-# each command accepts --config, --out, --format and the flags it reads
+
+_NUMERIC_FLAGS = {_flag(field) for field, kind in _FIELD_TYPES.items() if kind in _NUMBER_KINDS}
+_GRID = ("theta_min", "theta_max", "theta_steps")
+_RUN = ("tmax", "dt", "sample_stride")
+
+# each command accepts --config, --out, --format and a flag per RunConfig field it reads
 _COMMANDS = {
-    "params": ("coupling coefficients vs theta", ("--topology", "--gamma", *_GRID)),
-    "charge": ("single charging trajectory", ("--topology", "--theta", "--gamma", *_RUN)),
+    "params": ("coupling coefficients vs theta", ("topology", "gamma", *_GRID)),
+    "charge": ("single charging trajectory", ("topology", "theta", "gamma", *_RUN)),
     "sweep": ("theta x t metric grid with summary",
-              ("--topology", "--gamma", *_RUN, *_GRID, "--metrics", "--workers")),
+              ("topology", "gamma", *_RUN, *_GRID, "metrics", "workers")),
     "chiral": ("pitch-catch transfer run",
-               ("--theta", *_RUN, "--gamma-max", "--tau-scaled", "--direction")),
+               ("theta", *_RUN, "gamma_max", "tau_scaled", "direction")),
 }
 
 
@@ -392,14 +383,14 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="gaqb", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, flags) in _COMMANDS.items():
+    for command, (help_text, fields) in _COMMANDS.items():
         # no prefix matching: chiral's --gamma must not pass for --gamma-max
         p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         p.add_argument("--config", metavar="PATH", help="key = value config file")
-        for flag in flags:
-            p.add_argument(flag, **_FLAGS[flag])
+        for field in fields:
+            p.add_argument(_flag(field), dest=field, type=_FIELD_TYPES[field], choices=_CHOICES.get(field))
         p.add_argument("--out", metavar="PATH")
-        p.add_argument("--format", choices=("csv", "json"))
+        p.add_argument("--format", choices=_CHOICES["format"])
     return parser
 
 
@@ -438,12 +429,11 @@ def main(argv=None) -> int:
             _emit(cfg, header, rows)
         elif ns.command == "sweep":
             result = run_sweep(cfg)
-            chosen = [m.strip() for m in cfg.metrics.split(",")]
-            header = ("theta", "t") + tuple(chosen)
-            cols = [0] + [_CELL_COLS[m] for m in chosen]
-            n, t = result.cells.shape[:2]
-            rows = np.column_stack([np.repeat(result.thetas, t),
-                                    result.cells[:, :, cols].reshape(n * t, len(cols))])
+            columns = ("t", *(m.strip() for m in cfg.metrics.split(",")))
+            cells = result.cells
+            rows = np.column_stack([np.repeat(result.thetas, cells.shape[1]),
+                                    *(cells[name].ravel() for name in columns)])
+            header = ("theta", *columns)
             _emit(cfg, header, rows, result.summary)
         else:
             header, rows, summary = run_chiral(cfg, explicit)

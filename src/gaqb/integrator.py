@@ -21,6 +21,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .liouville import (
+    EIG_TOL,
     LiouvillianSpec,
     SimulationError,
     block_basis,
@@ -32,7 +33,6 @@ from .liouville import (
 
 DEFAULT_DT = 0.005  # resolves the fastest rate scales used here with wide margin
 MAX_STEPS = 10**7  # a window needing more steps is a configuration error, not a long run
-EIG_FLOOR = 1e-6  # a snapshot eigenvalue below -EIG_FLOOR is a positivity failure
 CHUNK = 64  # time-dependent steps whose increment maps are built at once: (N,64,m,m), 148 kB a cell at m = 17
 
 
@@ -105,7 +105,7 @@ def _check_snapshots(times: np.ndarray, states: np.ndarray) -> np.ndarray:
     else:
         eigs = np.full(finite.shape, -np.inf)
         eigs[finite] = np.linalg.eigvalsh(states[finite]).min(axis=1)
-    bad = eigs < -EIG_FLOOR
+    bad = eigs < -EIG_TOL  # a positivity failure, as for an input state
     if bad.any():
         cell = int(bad.any(axis=1).argmax())
         k = int(bad[cell].argmax())

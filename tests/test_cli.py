@@ -4,20 +4,26 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gaqb.cli import (
-    _CELL_COLS,
+    _CHOICES,
+    _COMMANDS,
     CHARGE_HEADER,
     PARAMS_HEADER,
+    SWEEP_METRICS,
     ConfigError,
     RunConfig,
+    build_parser,
     main,
     merge_config,
+    read_config_file,
     run_sweep,
+    validate_config,
     write_csv,
     _fmt,
     _parabolic_peak,
@@ -70,6 +76,52 @@ def test_config_bad_number_and_missing_equals(tmp_path):
         merge_config(str(f), {})
     with pytest.raises(ConfigError):
         merge_config(str(tmp_path / "absent.cfg"), {})
+
+
+def test_config_file_not_utf8_is_a_usage_error(tmp_path, capsys):
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_bytes(b"\xff\xfe bad\n")
+    assert main(["charge", "--config", str(cfg_file)]) == 1
+    assert capsys.readouterr().err.startswith(f"gaqb: error: cannot read config file {cfg_file}: ")
+
+
+def sample_value(field):
+    """A value for field that its default does not hold, as flag text."""
+    if field in _CHOICES:
+        return _CHOICES[field][-1]
+    return {int: "7", float: "0.375", str: "E,sigma"}.get(type(getattr(RunConfig(), field)), "x.csv")
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_each_flag_sets_its_field_as_the_config_key_does(command, tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    for field in (*_COMMANDS[command][1], "out", "format"):
+        raw = sample_value(field)
+        flag = "--stride" if field == "sample_stride" else "--" + field.replace("_", "-")
+        ns = vars(build_parser().parse_args([command, flag, raw]))
+        cfg_file.write_text(f"{field} = {raw}\n", encoding="utf-8")
+        assert read_config_file(str(cfg_file)) == {field: ns[field]}, flag  # dest is the field
+        default = getattr(RunConfig(), field)
+        assert type(ns[field]) is (str if default is None else type(default)), flag
+        assert ns[field] != default, flag
+
+
+def test_choices_are_the_values_flags_and_config_files_accept():
+    candidates = {value for allowed in _CHOICES.values() for value in allowed} | {"bogus"}
+    for name, allowed in _CHOICES.items():
+        command = next(c for c, (_, fields) in _COMMANDS.items() if name in fields or name == "format")
+        flag = "--" + name
+        for value in sorted(candidates):
+            cfg = replace(RunConfig(), **{name: value})
+            if value in allowed:
+                assert vars(build_parser().parse_args([command, flag, value]))[name] == value
+                assert validate_config(cfg) == cfg
+                continue
+            with pytest.raises(ConfigError, match=f"argument {flag}: invalid choice: '{value}'"):
+                build_parser().parse_args([command, flag, value])
+            with pytest.raises(ConfigError) as err:
+                validate_config(cfg)
+            assert str(err.value) == f"{name} must be one of {', '.join(allowed)}, got {value!r}"
 
 
 def test_flag_overrides_file(tmp_path):
@@ -367,11 +419,11 @@ def test_dense_reruns_batched_bitwise():
     cfg = RunConfig(topology="nested", theta_min=0.3, theta_max=5.0, theta_steps=5,
                     tmax=10.0, dt=0.04, sample_stride=5)
     summary = run_sweep(cfg).summary
-    best = {name: summary[f"argmax_{name}_theta"] for name in _CELL_COLS}
+    best = {name: summary[f"argmax_{name}_theta"] for name in SWEEP_METRICS}
     assert len(set(best.values())) >= 2
-    for name, col in _CELL_COLS.items():
+    for name in SWEEP_METRICS:
         cell = _sweep_cell(cfg, [best[name]], 1)[0]
-        t, f = _parabolic_peak(cell[:, 0], cell[:, col], int(np.argmax(cell[:, col])))
+        t, f = _parabolic_peak(cell.t, cell[name], int(np.argmax(cell[name])))
         assert summary[f"max_{name}"].hex() == f.hex()
         assert summary[f"argmax_{name}_t"].hex() == t.hex()
 
