@@ -22,7 +22,7 @@ loses essentially the whole excitation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -167,42 +167,28 @@ def run_transfer(
     Leakage accumulates the photon flux past the absorber,
     integral of Tr[L rho L^dag] dt, which :func:`evolve` integrates with
     the state into ``traj.aux``.  The default initial state puts the
-    excitation on the sending atom for the chosen direction.  Integration
-    is split at t = tau so the rate profiles' slope kink lands exactly on
-    a step boundary.
+    excitation on the sending atom for the chosen direction.  The run is
+    one :func:`evolve` call whose step lands the rate profiles' slope kink
+    at t = tau on a step boundary: with ``edge`` = tau if tau lies inside
+    the window and t_end otherwise, it takes n = ceil((edge - t_start) / dt)
+    steps to ``edge``, so the step (edge - t_start) / n is never longer than
+    ``grid.dt``; the rest of the window keeps that step, plus
+    :class:`TimeGrid`'s short last one.
     """
     if rho0 is None:
         rho0 = projector("eg" if p.direction == RIGHT_TO_BATTERY else "ge")
     if grid is None:
         grid = default_grid(p)
-    spec = chiral_spec(p)
-    edges = [grid.t_start, *([p.tau] if grid.t_start < p.tau < grid.t_end else []), grid.t_end]
-    pieces = []
-    rho, acc = rho0, 0.0
-    for t0, t1 in zip(edges, edges[1:]):
-        # step size adjusted per piece so the boundary is hit exactly
-        n = max(1, round((t1 - t0) / grid.dt))
-        piece_grid = TimeGrid(t0, t1, dt=(t1 - t0) / n, sample_stride=grid.sample_stride)
-        pieces.append(evolve(spec, rho, piece_grid, aux0=acc))
-        rho, acc = pieces[-1].states[-1], float(pieces[-1].aux[-1])
-
-    def joined(name):
-        # each later piece starts at the snapshot its predecessor ended on
-        return np.concatenate([getattr(q, name)[int(i > 0):] for i, q in enumerate(pieces)])
-
-    out = ChargingTrajectory(
-        times=joined("times"),
-        states=joined("states"),
-        aux=joined("aux"),
-        max_trace_drift=max(q.max_trace_drift for q in pieces),
-        min_eigenvalue=min(q.min_eigenvalue for q in pieces),
-        step_count=sum(q.step_count for q in pieces),
-    )
+    edge = p.tau if grid.t_start < p.tau < grid.t_end else grid.t_end
+    # evolve's own slack, floor(span / dt + 1e-9), so a whole count stays whole
+    n = max(1, math.ceil((edge - grid.t_start) / grid.dt - 1e-9))
+    traj = evolve(chiral_spec(p), rho0, replace(grid, dt=(edge - grid.t_start) / n))
+    rho = traj.states[-1]
     p_b, p_a = partial_trace_battery(rho).p, charger_population(rho)
     summary = TransferSummary(
         final_battery_energy=p_b,
         final_charger_energy=p_a,
-        leakage=acc,
+        leakage=float(traj.aux[-1]),
         efficiency=p_b if p.direction == RIGHT_TO_BATTERY else p_a,
     )
-    return out, summary
+    return traj, summary

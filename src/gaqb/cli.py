@@ -87,7 +87,7 @@ def read_config_file(path: str) -> dict:
     """Parse a line-oriented 'key = value' file; '#' starts a comment."""
     values = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
@@ -342,10 +342,9 @@ def run_chiral(cfg: RunConfig, explicit=()):
         window = cfg.tmax if "tmax" in explicit else 3.0 * protocol.tau
         stride = (cfg.sample_stride if "sample_stride" in explicit
                   else default_stride(window, cfg.dt))
-        grid = TimeGrid(0.0, window, dt=cfg.dt, sample_stride=stride)
+        traj, s = run_transfer(protocol, grid=TimeGrid(0.0, window, dt=cfg.dt, sample_stride=stride))
     except ValueError as exc:  # a decoupling theta or a window over the step budget
         raise ConfigError(str(exc)) from exc
-    traj, s = run_transfer(protocol, grid=grid)
     recs = compute_records(traj)
     rows = np.column_stack([*(recs[name] for name in CHARGE_HEADER), traj.aux])
     return CHARGE_HEADER + ("leakage",), rows, asdict(s)

@@ -122,19 +122,22 @@ def ergotropy_closed_form(b):
     return max(0.0, half + math.sqrt(half * half + abs(b.c) ** 2))
 
 
-def convergence_order(spec, rho0, t_end, dt=0.1):
-    """Empirical Richardson order of evolve's fixed-step method.
+def richardson_order(final_state, dt):
+    """Empirical Richardson order of a fixed-step run.
 
-    Integrates to ``t_end`` at dt, dt/2 and dt/4 and returns
-    log2(|rho_dt - rho_dt/2| / |rho_dt/2 - rho_dt/4|) measured in the max
-    norm of the final states.
+    ``final_state(h)`` integrates at step h and returns the final state; it
+    is called at dt, dt/2 and dt/4, and the result is
+    log2(|rho_dt - rho_dt/2| / |rho_dt/2 - rho_dt/4|) in the max norm.
     """
-    finals = []
-    for k in range(3):
-        grid = TimeGrid(0.0, t_end, dt=dt / (2**k), sample_stride=10**9)
-        finals.append(evolve(spec, rho0, grid).states[-1])
+    finals = [final_state(dt / 2**k) for k in range(3)]
     e1 = float(np.abs(finals[0] - finals[1]).max())
     e2 = float(np.abs(finals[1] - finals[2]).max())
     if e2 == 0.0:
         return float("inf")
     return math.log2(e1 / e2)
+
+
+def convergence_order(spec, rho0, t_end, dt=0.1):
+    """:func:`richardson_order` of evolve's fixed-step method up to ``t_end``."""
+    return richardson_order(
+        lambda h: evolve(spec, rho0, TimeGrid(0.0, t_end, dt=h, sample_stride=10**9)).states[-1], dt)

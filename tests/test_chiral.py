@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import charger_state
+from conftest import charger_state, richardson_order
 from gaqb.chiral import (
     LEFT_TO_CHARGER,
     RIGHT_TO_BATTERY,
@@ -237,6 +237,23 @@ def test_reversal_mirrors_population_curves():
     assert np.abs(r.p_b - f.p_a).max() <= 1e-9
     assert s_rev.final_charger_energy == pytest.approx(s_fwd.final_battery_energy, abs=1e-9)
     assert s_rev.leakage == pytest.approx(s_fwd.leakage, abs=1e-9)
+
+
+def test_kink_at_tau_lands_on_a_step():
+    # tau / dt = 106.7: unless the step is shrunk so that tau is a whole
+    # number of steps, a step straddles the profiles' slope kink and the
+    # order drops (to about 3.3 for a plain evolve on this grid)
+    stride = 7
+    p = ChiralProtocol(gamma_max=1.0, tau=10.0)
+
+    def run(dt):
+        return run_transfer(p, grid=TimeGrid(0.0, 30.0, dt=dt, sample_stride=stride))[0]
+
+    assert richardson_order(lambda dt: run(dt).states[-1], 0.0937) >= 3.7
+    step = 10.0 / math.ceil(10.0 / 0.0937)
+    gaps = np.diff(run(0.0937).times)
+    assert gaps[:-1] == pytest.approx(stride * step, rel=1e-12)
+    assert 0.0 < gaps[-1] <= stride * step * (1 + 1e-12)
 
 
 def test_too_fast_protocol_degrades():

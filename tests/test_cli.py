@@ -85,6 +85,17 @@ def test_config_file_not_utf8_is_a_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"gaqb: error: cannot read config file {cfg_file}: ")
 
 
+def test_config_file_byte_order_mark_is_skipped(tmp_path, capsys):
+    # some editors save UTF-8 with a leading byte-order mark; the first key
+    # must not absorb it
+    cfg_file = tmp_path / "bom.cfg"
+    cfg_file.write_bytes(b"\xef\xbb\xbftopology = nested\n")
+    assert main(["params", "--theta-steps", "3", "--config", str(cfg_file)]) == 0
+    from_file = capsys.readouterr().out
+    assert main(["params", "--theta-steps", "3", "--topology", "nested"]) == 0
+    assert from_file == capsys.readouterr().out
+
+
 def sample_value(field):
     """A value for field that its default does not hold, as flag text."""
     if field in _CHOICES:
@@ -153,6 +164,13 @@ def test_validation_errors():
     # rejected before the theta grid is allocated
     with pytest.raises(ConfigError, match="theta_steps"):
         merge_config(None, {"theta_steps": 10**13})
+    with pytest.raises(ConfigError, match="gamma must be >= 0"):
+        merge_config(None, {"gamma": -1.0})
+    with pytest.raises(ConfigError, match="sample_stride must be >= 1"):
+        merge_config(None, {"sample_stride": 0})
+    for key in ("gamma_max", "tau_scaled"):
+        with pytest.raises(ConfigError, match="gamma_max and tau_scaled must be positive"):
+            merge_config(None, {key: 0.0})
 
 
 # --- commands end to end -----------------------------------------------------
@@ -265,8 +283,8 @@ def test_chiral_command_csv(tmp_path):
 
 
 def test_chiral_stride_only_when_set(tmp_path):
-    # 3,000 steps split at tau into 1,000 + 2,000; the default stride is
-    # 5 (about 600 snapshots), not RunConfig's sample_stride of 50
+    # 3,000 steps of 0.1, tau at step 1,000; the default stride is 5
+    # (about 600 snapshots), not RunConfig's sample_stride of 50
     args = ["chiral", "--gamma-max", "0.1", "--tau-scaled", "10", "--dt", "0.1"]
 
     def rows(*extra):
@@ -275,7 +293,7 @@ def test_chiral_stride_only_when_set(tmp_path):
         return sum(1 for l in out.read_text().splitlines()[1:] if not l.startswith("#"))
 
     assert rows() == 601
-    assert rows("--stride", "7") == 430  # 1 + 142 + 1 and 285 + 1 snapshots
+    assert rows("--stride", "7") == 430  # steps 0, 7, ..., 2996 and the last one
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("sample_stride = 7\n", encoding="utf-8")
     assert rows("--config", str(cfg_file)) == 430
@@ -310,6 +328,11 @@ def test_exit_code_usage_errors(capsys):
     # same step budget
     assert main(["chiral", "--tau-scaled", "1e9", "--dt", "0.01"]) == 1
     assert "gaqb: error: dt = 0.01 needs 3e+12 steps" in capsys.readouterr().err
+    # a tau shorter than dt shrinks chiral's step to tau, which puts this
+    # window over the budget before any step is taken
+    assert main(["chiral", "--gamma-max", "1", "--tau-scaled", "1e-6", "--dt", "0.01",
+                 "--tmax", "50"]) == 1
+    assert "gaqb: error: dt = 1e-06 needs 5e+07 steps" in capsys.readouterr().err
     # each command takes only the flags it reads, spelled out in full
     for args in (["charge", "--omega0", "2"], ["chiral", "--topology", "nested"],
                  ["chiral", "--gamma", "0.1"], ["params", "--tmax", "5"],
