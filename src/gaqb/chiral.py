@@ -36,11 +36,7 @@ from .liouville import (
     jump_operator,  # noqa: F401 -- perfbench/tracer.py times gaqb.chiral.jump_operator
     projector,
 )
-from .metrics import (
-    charger_population,
-    compute_records,  # noqa: F401 -- perfbench/tracer.py times gaqb.chiral.compute_records
-    partial_trace_battery,
-)
+from .metrics import compute_records
 
 RIGHT_TO_BATTERY = "right"
 LEFT_TO_CHARGER = "left"
@@ -146,15 +142,27 @@ class TransferSummary:
     efficiency: float
 
 
-def default_stride(t_end: float, dt: float) -> int:
-    """Snapshot stride giving about 600 snapshots over [0, t_end]."""
-    return max(1, round(t_end / dt / 600))
+def transfer_step(p: ChiralProtocol, grid: TimeGrid) -> float:
+    """The step :func:`run_transfer` takes on ``grid``, never longer than ``grid.dt``.
+
+    It is (edge - t_start) / ceil((edge - t_start) / dt), with ``edge`` = tau
+    if tau lies inside the window and t_end otherwise.
+    """
+    edge = p.tau if grid.t_start < p.tau < grid.t_end else grid.t_end
+    # evolve's own slack, floor(span / dt + 1e-9), so a whole count stays whole
+    n = max(1, math.ceil((edge - grid.t_start) / grid.dt - 1e-9))
+    return (edge - grid.t_start) / n
+
+
+def default_stride(p: ChiralProtocol, grid: TimeGrid) -> int:
+    """Snapshot stride giving about 600 snapshots over ``grid`` at :func:`transfer_step`."""
+    return max(1, round((grid.t_end - grid.t_start) / transfer_step(p, grid) / 600))
 
 
 def default_grid(p: ChiralProtocol, dt: float = DEFAULT_DT) -> TimeGrid:
     """Window [0, 3 tau] with the stride of :func:`default_stride`."""
-    t_end = 3.0 * p.tau
-    return TimeGrid(0.0, t_end, dt=dt, sample_stride=default_stride(t_end, dt))
+    grid = TimeGrid(0.0, 3.0 * p.tau, dt=dt)
+    return replace(grid, sample_stride=default_stride(p, grid))
 
 
 def run_transfer(
@@ -168,27 +176,20 @@ def run_transfer(
     integral of Tr[L rho L^dag] dt, which :func:`evolve` integrates with
     the state into ``traj.aux``.  The default initial state puts the
     excitation on the sending atom for the chosen direction.  The run is
-    one :func:`evolve` call whose step lands the rate profiles' slope kink
-    at t = tau on a step boundary: with ``edge`` = tau if tau lies inside
-    the window and t_end otherwise, it takes n = ceil((edge - t_start) / dt)
-    steps to ``edge``, so the step (edge - t_start) / n is never longer than
-    ``grid.dt``; the rest of the window keeps that step, plus
-    :class:`TimeGrid`'s short last one.
+    one :func:`evolve` call at :func:`transfer_step`, which lands the rate
+    profiles' slope kink at t = tau on a step boundary; the rest of the
+    window keeps that step, plus :class:`TimeGrid`'s short last one.
     """
     if rho0 is None:
         rho0 = projector("eg" if p.direction == RIGHT_TO_BATTERY else "ge")
     if grid is None:
         grid = default_grid(p)
-    edge = p.tau if grid.t_start < p.tau < grid.t_end else grid.t_end
-    # evolve's own slack, floor(span / dt + 1e-9), so a whole count stays whole
-    n = max(1, math.ceil((edge - grid.t_start) / grid.dt - 1e-9))
-    traj = evolve(chiral_spec(p), rho0, replace(grid, dt=(edge - grid.t_start) / n))
-    rho = traj.states[-1]
-    p_b, p_a = partial_trace_battery(rho).p, charger_population(rho)
+    traj = evolve(chiral_spec(p), rho0, replace(grid, dt=transfer_step(p, grid)))
+    last = compute_records(traj)[-1]
     summary = TransferSummary(
-        final_battery_energy=p_b,
-        final_charger_energy=p_a,
+        final_battery_energy=float(last.p_b),
+        final_charger_energy=float(last.p_a),
         leakage=float(traj.aux[-1]),
-        efficiency=p_b if p.direction == RIGHT_TO_BATTERY else p_a,
+        efficiency=float(last.p_b if p.direction == RIGHT_TO_BATTERY else last.p_a),
     )
     return traj, summary

@@ -330,19 +330,14 @@ def run_chiral(cfg: RunConfig, explicit=()):
     """Pitch-catch run; ``explicit`` names the keys set by flag or config file.
 
     Only an explicit window or stride replaces the protocol's defaults
-    (3 tau and about 600 snapshots).
+    (3 tau and about 600 snapshots at the step the run takes).
     """
     try:
-        protocol = ChiralProtocol(
-            gamma_max=cfg.gamma_max,
-            tau=cfg.tau_scaled / cfg.gamma_max,
-            theta=cfg.theta,
-            direction=cfg.direction,
-        )
-        window = cfg.tmax if "tmax" in explicit else 3.0 * protocol.tau
-        stride = (cfg.sample_stride if "sample_stride" in explicit
-                  else default_stride(window, cfg.dt))
-        traj, s = run_transfer(protocol, grid=TimeGrid(0.0, window, dt=cfg.dt, sample_stride=stride))
+        protocol = ChiralProtocol(gamma_max=cfg.gamma_max, tau=cfg.tau_scaled / cfg.gamma_max,
+                                  theta=cfg.theta, direction=cfg.direction)
+        grid = TimeGrid(0.0, cfg.tmax if "tmax" in explicit else 3.0 * protocol.tau, dt=cfg.dt)
+        stride = cfg.sample_stride if "sample_stride" in explicit else default_stride(protocol, grid)
+        traj, s = run_transfer(protocol, grid=replace(grid, sample_stride=stride))
     except ValueError as exc:  # a decoupling theta or a window over the step budget
         raise ConfigError(str(exc)) from exc
     recs = compute_records(traj)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -79,26 +79,35 @@ class TimeGrid:
 class ChargingTrajectory:
     """Snapshots of the evolving state plus integrator diagnostics.
 
-    ``states`` is (T,4,4) for a single spec and (N,T,4,4) for a batch of
-    N specs, whose ``aux``, ``max_trace_drift`` and ``min_eigenvalue`` are
-    then per-cell arrays.  ``aux`` holds the energy emitted into the
-    waveguide by each snapshot time, (T,) or (N,T).
+    ``coordinates`` is (T,17) for a single spec and (N,T,17) for a batch of
+    N specs, whose ``max_trace_drift`` and ``min_eigenvalue`` are then
+    per-cell arrays: the real coordinates of rho, then the energy emitted
+    into the waveguide by each snapshot time.  The (T,4,4) or (N,T,4,4)
+    ``states`` and the emitted energy ``aux`` are derived on each read.
     """
 
     times: np.ndarray
-    states: np.ndarray
-    aux: Optional[np.ndarray] = None
+    coordinates: np.ndarray
     max_trace_drift: Union[float, np.ndarray] = 0.0
     min_eigenvalue: Union[float, np.ndarray] = 1.0
     step_count: int = 0
 
+    @property
+    def states(self) -> np.ndarray:
+        return density_matrices(self.coordinates[..., :16])
 
-def _check_snapshots(times: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Per-cell minimum eigenvalue over the snapshots of an (N,T,4,4) stack.
+    @property
+    def aux(self) -> np.ndarray:
+        return self.coordinates[..., 16]
+
+
+def _check_snapshots(times: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per-cell minimum eigenvalue of the states of (N,T,17) snapshot coordinates.
 
     A failure is reported for the lowest-index failing cell at its earliest
     failing time; the error's ``cell`` attribute holds that index.
     """
+    states = density_matrices(x[..., :16])
     finite = np.isfinite(states).all(axis=(2, 3))
     if finite.all():
         eigs = np.linalg.eigvalsh(states).min(axis=2)
@@ -130,8 +139,9 @@ def _march(specs, rho0, aux0, grid, n_full, rem, snaps):
     A2 = L2 (I + h/2 L1), A3 = L2 (I + h/2 A2) and A4 = L4 (I + h A3).  A
     time-independent batch has one per step size, a time-dependent one
     CHUNK steps' at a time.  Each step is v + D v, and only a cell whose
-    trace drifts by more than 1e-12 is renormalized.  Returns the (N,T,4,4)
-    snapshots, the (N,T) emitted energy and the per-cell maximum trace drift.
+    trace drifts by more than 1e-12 is renormalized.  Returns the (N,T,17)
+    snapshot coordinates, the emitted energy last, and the per-cell maximum
+    trace drift.
     """
     x0 = coordinates(rho0)
     idx, basis = block_basis(x0)
@@ -173,7 +183,7 @@ def _march(specs, rho0, aux0, grid, n_full, rem, snaps):
     out[-1] = v
     full = np.zeros((cells, len(snaps), 17))
     full[..., idx] = out.swapaxes(0, 1)
-    return density_matrices(full[..., :16]), full[..., 16].copy(), np.array(drift_max)
+    return full, np.array(drift_max)
 
 
 def evolve(
@@ -213,17 +223,9 @@ def evolve(
     times[-1] = grid.t_end
     # a state that blows up keeps stepping quietly; the snapshot check names it
     with np.errstate(all="ignore"):
-        states, aux_vals, drift_max = _march([spec] if single else spec, rho0, aux0, grid,
-                                             n_full, rem, snaps)
-    min_eig = _check_snapshots(times, states)
+        full, drift_max = _march([spec] if single else spec, rho0, aux0, grid, n_full, rem, snaps)
+    min_eig = _check_snapshots(times, full)
     if single:
-        states, aux_vals = states[0], aux_vals[0]
-        drift_max, min_eig = float(drift_max[0]), float(min_eig[0])
-    return ChargingTrajectory(
-        times=times,
-        states=states,
-        aux=aux_vals,
-        max_trace_drift=drift_max,
-        min_eigenvalue=min_eig,
-        step_count=n_steps,
-    )
+        full, drift_max, min_eig = full[0], float(drift_max[0]), float(min_eig[0])
+    return ChargingTrajectory(times=times, coordinates=full, max_trace_drift=drift_max,
+                              min_eigenvalue=min_eig, step_count=n_steps)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -108,6 +109,72 @@ def random_density(rng, pure=False):
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = a @ a.conj().T
     return rho / rho.trace().real
+
+
+# the eigen-path oracle of compute_records: per-state functions on 4x4
+# states, by partial trace and a 2x2 eigvalsh
+
+
+@dataclass(frozen=True)
+class BatteryState:
+    """Reduced 2x2 state of the battery atom.
+
+    ``p`` is the excited-state population, ``c`` the coherence <e|rho_B|g>.
+    """
+
+    rho: np.ndarray
+    p: float
+    c: complex
+
+
+def partial_trace_battery(rho):
+    """Trace out the charger: sum of the two diagonal 2x2 blocks."""
+    rho = np.asarray(rho)
+    rb = rho[0:2, 0:2] + rho[2:4, 2:4]
+    return BatteryState(rho=rb, p=float(rb[1, 1].real), c=complex(rb[1, 0]))
+
+
+def charger_population(rho):
+    """Excited-state population of the charger atom."""
+    return float(rho[2, 2].real + rho[3, 3].real)
+
+
+def energy(b):
+    """Stored energy Tr[rho_B H_B] = p."""
+    return b.p
+
+
+def ergotropy(b):
+    """Maximal unitarily extractable work, via the passive state (eigen path)."""
+    evals = np.linalg.eigvalsh(0.5 * (b.rho + b.rho.conj().T))  # ascending
+    # descending populations paired with ascending levels (0, 1)
+    return max(0.0, b.p - float(evals[0]))
+
+
+def fluctuation(b_t, b_0):
+    """Change of the H_B standard deviation between start and time t.
+
+    May be negative if the initial state had the larger variance.
+    """
+
+    def std(b):
+        # <H_B> = <H_B^2> = p, since H_B^2 = H_B for a qubit
+        return math.sqrt(max(0.0, b.p - b.p * b.p))
+
+    return std(b_t) - std(b_0)
+
+
+def average_power(ergotropy_t, t):
+    """Ergotropy divided by elapsed time; defined as 0 at t = 0."""
+    if t < 0.0:
+        raise ValueError(f"time must be nonnegative, got {t}")
+    if t == 0.0:
+        return 0.0
+    return ergotropy_t / t
+
+
+def purity(rho):
+    return float(np.trace(rho @ rho).real)
 
 
 def charger_state(rho):

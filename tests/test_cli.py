@@ -287,7 +287,7 @@ def test_chiral_stride_only_when_set(tmp_path):
     # (about 600 snapshots), not RunConfig's sample_stride of 50
     args = ["chiral", "--gamma-max", "0.1", "--tau-scaled", "10", "--dt", "0.1"]
 
-    def rows(*extra):
+    def rows(*extra, args=args):
         out = tmp_path / "chiral.csv"
         assert main(args + list(extra) + ["--out", str(out)]) == 0
         return sum(1 for l in out.read_text().splitlines()[1:] if not l.startswith("#"))
@@ -297,6 +297,10 @@ def test_chiral_stride_only_when_set(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("sample_stride = 7\n", encoding="utf-8")
     assert rows("--config", str(cfg_file)) == 430
+    # tau = 1e-3 is shorter than dt, so the run steps at 1e-3: 10,000 steps,
+    # and the default stride of 17 comes from that step, not from dt's 3
+    tiny = ["chiral", "--gamma-max", "1", "--tau-scaled", "1e-3", "--dt", "0.005", "--tmax", "10"]
+    assert rows(args=tiny) == 590  # steps 0, 17, ..., 9996 and the last one
 
 
 def test_out_into_missing_directory(tmp_path, capsys):

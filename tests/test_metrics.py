@@ -3,21 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from conftest import charger_state, ergotropy_closed_form
-from gaqb.geometry import BRAIDED, CouplingLayout, closed_form_params
-from gaqb.integrator import TimeGrid, evolve
-from gaqb.liouville import LiouvillianSpec, ket, projector
-from gaqb.metrics import (
+from conftest import (
     BatteryState,
     average_power,
     charger_population,
-    compute_records,
+    charger_state,
     energy,
     ergotropy,
+    ergotropy_closed_form,
     fluctuation,
     partial_trace_battery,
     purity,
+    random_density,
 )
+from gaqb.geometry import BRAIDED, NESTED, SEPARATED, CouplingLayout, closed_form_params
+from gaqb.integrator import TimeGrid, evolve
+from gaqb.liouville import LiouvillianSpec, ket, projector
+from gaqb.metrics import compute_records
 
 RNG = np.random.default_rng(77)
 
@@ -149,7 +151,9 @@ def test_records_power_at_origin_is_zero():
 
 def test_metric_arrays_match_per_state_functions_bitwise():
     # each field of the record array gives each snapshot the bits of the
-    # per-state functions, for a single trajectory and for a batch of cells
+    # per-state functions, for a single trajectory and for a batch of
+    # cells; purity, a sum of squared real coordinates in place of the
+    # complex trace(rho @ rho), agrees to 1e-15
     specs = [LiouvillianSpec(closed_form_params(CouplingLayout(BRAIDED, th, 0.1)))
              for th in (0.4, math.pi / 2, 2.2)]
     grid = TimeGrid(0.0, 30.0, dt=0.05, sample_stride=7)
@@ -170,12 +174,35 @@ def test_metric_arrays_match_per_state_functions_bitwise():
                              average_power(erg, elapsed),
                              energy(b) / elapsed if elapsed > 0.0 else 0.0,
                              charger_population(rho), b.p, purity(rho)))
-        return np.array(expected).view(np.uint64)
+        return np.array(expected)
+
+    def check(recs, expected):
+        got = np.stack([recs[f] for f in fields], axis=-1)
+        assert (got[:, :-1].view(np.uint64) == expected[:, :-1].view(np.uint64)).all()
+        assert np.abs(got[:, -1] - expected[:, -1]).max() <= 1e-15
 
     for i, spec in enumerate(specs):
         traj = evolve(spec, projector("eg"), grid)
+        check(compute_records(traj), per_state(traj.times, traj.states))
+        check(cells[i], per_state(batch.times, batch.states[i]))
+
+
+@pytest.mark.parametrize("topology", [BRAIDED, SEPARATED, NESTED])
+def test_closed_form_ergotropy_with_battery_coherence(topology):
+    # full-rank initial states fill every |Delta n| block, so the battery
+    # has 0-1 coherence and the closed-form passive state differs from
+    # min(a, p); it must still match the eigen path
+    rng = np.random.default_rng(2024)  # own stream: leaves RNG's draws to other tests
+    grid = TimeGrid(0.0, 20.0, dt=0.05, sample_stride=8)
+    for _ in range(3):
+        rho0 = random_density(rng)
+        spec = LiouvillianSpec(closed_form_params(CouplingLayout(topology, rng.uniform(0.1, 3.0), 0.1)))
+        traj = evolve(spec, rho0, grid)
         recs = compute_records(traj)
-        got = np.stack([recs[f] for f in fields], axis=-1)
-        assert (got.view(np.uint64) == per_state(traj.times, traj.states)).all()
-        batched = np.stack([cells[f][i] for f in fields], axis=-1)
-        assert (batched.view(np.uint64) == per_state(batch.times, batch.states[i])).all()
+        states = traj.states
+        coherence = [abs(partial_trace_battery(rho).c) for rho in states]
+        assert min(coherence) > 1e-3
+        erg = np.array([ergotropy(partial_trace_battery(rho)) for rho in states])
+        power = np.array([average_power(w, t - traj.times[0]) for w, t in zip(erg, traj.times)])
+        assert np.abs(recs.ergotropy - erg).max() <= 1e-15
+        assert np.abs(recs.power - power).max() <= 1e-15
