@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from typing import Sequence, Union
 
 import numpy as np
@@ -33,7 +33,7 @@ from .liouville import (
 
 DEFAULT_DT = 0.005  # resolves the fastest rate scales used here with wide margin
 MAX_STEPS = 10**7  # a window needing more steps is a configuration error, not a long run
-CHUNK = 64  # time-dependent steps whose increment maps are built at once: (N,64,m,m), 148 kB a cell at m = 17
+CHUNK = 64  # steps per march block; time-dependent maps come a block at once: (N,64,m,m), 148 kB a cell at m = 17
 
 
 class PositivityError(SimulationError):
@@ -80,7 +80,8 @@ class ChargingTrajectory:
     """Snapshots of the evolving state plus integrator diagnostics.
 
     ``coordinates`` is (T,17) for a single spec and (N,T,17) for a batch of
-    N specs, whose ``max_trace_drift`` and ``min_eigenvalue`` are then
+    N specs, whose ``max_trace_drift``, ``min_eigenvalue`` and
+    ``renormalizations`` (the number of renormalized steps) are then
     per-cell arrays: the real coordinates of rho, then the energy emitted
     into the waveguide by each snapshot time.  The (T,4,4) or (N,T,4,4)
     ``states`` and the emitted energy ``aux`` are derived on each read.
@@ -91,6 +92,7 @@ class ChargingTrajectory:
     max_trace_drift: Union[float, np.ndarray] = 0.0
     min_eigenvalue: Union[float, np.ndarray] = 1.0
     step_count: int = 0
+    renormalizations: Union[int, np.ndarray] = 0
 
     @property
     def states(self) -> np.ndarray:
@@ -130,7 +132,7 @@ def _check_snapshots(times: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _march(specs, rho0, aux0, grid, n_full, rem, snaps):
-    """RK4 on an (N, m) batch of block coordinates, one matvec per step.
+    """RK4 on an (N, m) batch of block coordinates, CHUNK steps per block.
 
     Every cell starts from (coordinates of rho0, aux0) and marches the m
     coordinates of :func:`block_basis`: 7 from |eg>, 17 from a full-rank
@@ -138,10 +140,13 @@ def _march(specs, rho0, aux0, grid, n_full, rem, snaps):
     from the generators at the stage times t, t + h/2, t + h:
     A2 = L2 (I + h/2 L1), A3 = L2 (I + h/2 A2) and A4 = L4 (I + h A3).  A
     time-independent batch has one per step size, a time-dependent one
-    CHUNK steps' at a time.  Each step is v + D v, and only a cell whose
-    trace drifts by more than 1e-12 is renormalized.  Returns the (N,T,17)
-    snapshot coordinates, the emitted energy last, and the per-cell maximum
-    trace drift.
+    CHUNK steps' at a time.  Each step is v + D v.  After a block, the
+    trace drift of every step and cell is checked at once; if a drift
+    exceeds 1e-12, the first such step's drifting cells are renormalized
+    and the block is stepped again from there, so every bit is that of a
+    step-by-step loop.  Returns the (N,T,17) snapshot coordinates, the
+    emitted energy last, and the per-cell maximum trace drift (NaN drifts
+    skipped) and count of renormalized steps.
     """
     x0 = coordinates(rho0)
     idx, basis = block_basis(x0)
@@ -163,27 +168,36 @@ def _march(specs, rho0, aux0, grid, n_full, rem, snaps):
     else:
         D = maps(np.array([0, n_full]))  # the maps of a step of dt and of rem
         steps = chain(repeat(D[0], n_full), D[1:n + 1 - n_full])
-    v = np.repeat(np.append(x0, aux0)[idx][None], cells, axis=0)
-    column, populations = v[:, :, None], v[:, :4]
+    buf = np.empty((CHUNK + 1, cells, m, 1))  # a block's start state, then its steps
+    buf[0] = np.append(x0, aux0)[idx, None]
+    rows, drift = list(buf), np.empty((CHUNK, cells))
     out = np.empty((len(snaps), cells, m))
-    out[0] = v
-    drift_max, k = [0.0] * cells, 1
-    for step, d in enumerate(steps, 1):
-        column += d @ column
-        for cell, x in enumerate(populations.tolist()):
-            trace = sum(x)
-            drift = abs(trace - 1.0)
-            if drift > drift_max[cell]:
-                drift_max[cell] = drift
-            if drift > 1e-12:
-                v[cell, :-1] /= trace
-        if step == snaps[k]:
-            out[k] = v
-            k += 1
-    out[-1] = v
+    out[0] = buf[0, ..., 0]
+    drift_max, renorms, snaps = np.zeros(cells), np.zeros(cells, dtype=int), np.array(snaps)
+    for s in range(0, n, CHUNK):
+        ds = list(islice(steps, CHUNK))
+        k, r = len(ds), 0
+        while True:  # step from row r: the block start, or the last renormalized step
+            for x, y, d in zip(rows[r:k], rows[r + 1:], ds[r:]):
+                np.add(x, d @ x, out=y)
+            p = buf[r + 1:k + 1, :, :4, 0]
+            trace = ((p[..., 0] + p[..., 1]) + p[..., 2]) + p[..., 3]  # a fixed order, unlike .sum()
+            drift[r:k] = np.abs(trace - 1.0)
+            over = drift[r:k] > 1e-12
+            if not over.any():
+                break
+            j = over.any(axis=1).argmax()
+            r += j + 1
+            buf[r, over[j], :-1] /= trace[j, over[j], None, None]
+            renorms += over[j]
+        drift_max = np.fmax(drift_max, np.fmax.reduce(drift[:k]))  # a NaN drift is skipped
+        lo, hi = snaps.searchsorted([s, s + k], side="right")
+        out[lo:hi] = buf[snaps[lo:hi] - s, ..., 0]
+        buf[0] = buf[k]
+    out[-1] = buf[0, ..., 0]  # the last block wrote it, unless the window takes no step
     full = np.zeros((cells, len(snaps), 17))
     full[..., idx] = out.swapaxes(0, 1)
-    return full, np.array(drift_max)
+    return full, drift_max, renorms
 
 
 def evolve(
@@ -223,9 +237,9 @@ def evolve(
     times[-1] = grid.t_end
     # a state that blows up keeps stepping quietly; the snapshot check names it
     with np.errstate(all="ignore"):
-        full, drift_max = _march([spec] if single else spec, rho0, aux0, grid, n_full, rem, snaps)
+        full, drift_max, renorms = _march([spec] if single else spec, rho0, aux0, grid, n_full, rem, snaps)
     min_eig = _check_snapshots(times, full)
     if single:
-        full, drift_max, min_eig = full[0], float(drift_max[0]), float(min_eig[0])
+        full, drift_max, min_eig, renorms = full[0], float(drift_max[0]), float(min_eig[0]), int(renorms[0])
     return ChargingTrajectory(times=times, coordinates=full, max_trace_drift=drift_max,
-                              min_eigenvalue=min_eig, step_count=n_steps)
+                              min_eigenvalue=min_eig, step_count=n_steps, renormalizations=renorms)

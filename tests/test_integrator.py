@@ -9,7 +9,8 @@ from conftest import (
 )
 from gaqb.chiral import ChiralProtocol, chiral_spec
 from gaqb.geometry import BRAIDED, NESTED, SEPARATED, CouplingParams
-from gaqb.integrator import DivergenceError, PositivityError, TimeGrid, evolve
+from gaqb import integrator
+from gaqb.integrator import CHUNK, DivergenceError, PositivityError, TimeGrid, evolve
 from gaqb.liouville import (
     CASCADED_RIGHT,
     LiouvillianSpec,
@@ -321,13 +322,14 @@ def test_conjugate_phases_give_conjugate_states():
         assert (recs[name][:, 0].view(np.uint64) == recs[name][:, 1].view(np.uint64)).all(), name
 
 
-def chunked_march(spec, rho0, grid):
+def chunked_march_coordinates(spec, rho0, grid):
     """The single-spec march with every step's own increment map: on the
     coordinates of the blocks rho0 fills plus the flux, the maps
     D = h/6 (L1 + 2 A2 + 2 A3 + A4) of 64 steps at a time from the
-    generators at their stage times, each step v + D v with the trace
-    renormalized above 1e-12.  Returns the snapshots, the emitted energy
-    and the maximum trace drift."""
+    generators at their stage times, each step v + D v with the trace,
+    summed as ((x0 + x1) + x2) + x3, renormalized above 1e-12.  Returns the
+    (T,17) snapshot coordinates, the maximum trace drift over the steps
+    whose drift is not NaN, and the renormalized steps."""
     span = grid.t_end - grid.t_start
     n_full = int(math.floor(span / grid.dt + 1e-9))
     rem = span - n_full * grid.dt
@@ -339,7 +341,7 @@ def chunked_march(spec, rho0, grid):
     v = np.append(coordinates(rho0), 0.0)[idx]
     out = np.zeros((len(snaps), 17))
     out[0, idx] = v
-    drift_max, k = 0.0, 1
+    drift_max, k, renormalized = 0.0, 1, []
     for start in range(0, n, 64):
         i = np.arange(start, min(start + 64, n))
         t = grid.t_start + i * grid.dt
@@ -351,14 +353,22 @@ def chunked_march(spec, rho0, grid):
         A4 = L4 + (L4 @ A3) * h
         for step, d in enumerate(((A2 + A3) * 2.0 + L1 + A4) * (h / 6.0), start + 1):
             v = v + d @ v
-            trace = sum(v[:4].tolist())
+            trace = ((v[0] + v[1]) + v[2]) + v[3]
             drift_max = max(drift_max, abs(trace - 1.0))
             if abs(trace - 1.0) > 1e-12:
                 v[:-1] /= trace
+                renormalized.append(step)
             if step == snaps[k]:
                 out[k, idx] = v
                 k += 1
     out[-1, idx] = v
+    return out, drift_max, renormalized
+
+
+def chunked_march(spec, rho0, grid):
+    """The states, emitted energy and maximum trace drift of
+    :func:`chunked_march_coordinates`."""
+    out, drift_max, _ = chunked_march_coordinates(spec, rho0, grid)
     return density_matrices(out[:, :16]), out[:, 16], drift_max
 
 
@@ -366,19 +376,66 @@ def test_single_march_matches_chunked_maps_bitwise():
     # a time-independent spec steps with one map per step size and must get
     # the bits of building each step's own map.  Every grid but the first
     # ends on a short step (501 x 0.02 + 0.01, 42 x 0.07 + 0.06, 500 x 0.01
-    # + 0.003); the chiral spec is time-dependent
+    # + 0.003, 50 x 0.02 + 0.003); the chiral spec is time-dependent.  A
+    # stride of 100 leaves blocks of 64 steps with no snapshot, and a window
+    # of 51 steps is shorter than one block
     full_rank = random_density(np.random.default_rng(5))
+    chiral = chiral_spec(ChiralProtocol(gamma_max=1.0, tau=2.0, theta=1.2))
     cases = [(spec_for(BRAIDED, math.pi / 2), EG, TimeGrid(0.0, 20.0, dt=0.005, sample_stride=1)),
              (spec_for(NESTED, 1.1), EG, TimeGrid(0.0, 10.03, dt=0.02, sample_stride=7)),
+             (spec_for(NESTED, 1.1), EG, TimeGrid(0.0, 10.03, dt=0.02, sample_stride=100)),
              *((spec, full_rank, MIXED_GRID) for spec in MIXED_SPECS),
-             (chiral_spec(ChiralProtocol(gamma_max=1.0, tau=2.0, theta=1.2)), full_rank,
-              TimeGrid(0.0, 5.003, dt=0.01, sample_stride=25))]
+             (chiral, full_rank, TimeGrid(0.0, 5.003, dt=0.01, sample_stride=25)),
+             (chiral, full_rank, TimeGrid(0.0, 5.003, dt=0.01, sample_stride=100)),
+             *((spec, full_rank, TimeGrid(0.0, 1.003, dt=0.02, sample_stride=7))
+               for spec in (spec_for(NESTED, 1.1), chiral))]
     for spec, rho0, grid in cases:
         traj = evolve(spec, rho0, grid)
         states, flux, drift = chunked_march(spec, rho0, grid)
         assert (traj.states.view(np.uint64) == states.view(np.uint64)).all()
         assert (traj.aux.view(np.uint64) == flux.view(np.uint64)).all()
         assert traj.max_trace_drift == drift
+
+
+NEGATIVE_RATE = LiouvillianSpec(CouplingParams(0.0, 0.0, 0.0, -0.2, 0.0, 0.0))
+
+
+def bits(x):
+    return np.asarray(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("specs, rho0, grid, counts, diverged", [
+    # the negative-rate cell first drifts past 1e-12 at step 242, inside a
+    # block, then often several times in one block; its neighbours never do
+    ([spec_for(BRAIDED, 0.4), NEGATIVE_RATE, spec_for(NESTED, 1.1)],
+     random_density(np.random.default_rng(5)), TimeGrid(0.0, 100.0, dt=0.2, sample_stride=3),
+     [0, 166, 0], []),
+    # RK4 at lambda dt = 16 renormalizes braided 0 five times, then its state
+    # goes non-finite and the NaN drifts are skipped; separated pi is the
+    # zero generator, and braided pi/2 diverges after one renormalization
+    ([spec_for(SEPARATED, math.pi), spec_for(BRAIDED, 0.0), spec_for(BRAIDED, math.pi / 2)], EG,
+     TimeGrid(0.0, 20000.0, dt=40.0, sample_stride=7), [0, 5, 1], [1, 2]),
+])
+def test_renormalizing_march_matches_per_step_loop_bitwise(monkeypatch, specs, rho0, grid, counts,
+                                                           diverged):
+    # the snapshot check rejects these runs; skip it to compare the marches
+    monkeypatch.setattr(integrator, "_check_snapshots", lambda times, x: np.zeros(len(x)))
+    with np.errstate(all="ignore"):
+        batch = evolve(specs, rho0, grid)
+        assert batch.renormalizations.tolist() == counts
+        assert np.isnan(batch.coordinates).any(axis=(1, 2)).nonzero()[0].tolist() == diverged
+        assert np.isfinite(batch.max_trace_drift).all()
+        for i, spec in enumerate(specs):
+            alone = evolve(spec, rho0, grid)
+            assert isinstance(alone.renormalizations, int)
+            out, drift, steps = chunked_march_coordinates(spec, rho0, grid)
+            assert len(steps) == counts[i]
+            assert not steps or steps[0] % CHUNK  # the first renormalization is inside a block
+            for traj, cell in ((alone, ...), (batch, i)):
+                assert (bits(traj.states[cell]) == bits(density_matrices(out[:, :16]))).all()
+                assert (bits(traj.aux[cell]) == bits(out[:, 16])).all()
+                assert bits(np.asarray(traj.max_trace_drift)[cell]) == bits(drift)
+                assert np.asarray(traj.renormalizations)[cell] == len(steps)
 
 
 def long_double_rk4(specs, h, n_steps, stride):
