@@ -52,10 +52,12 @@ class ChiralProtocol:
     direction: str = RIGHT_TO_BATTERY
 
     def __post_init__(self):
-        if not self.gamma_max > 0.0:
-            raise ValueError(f"gamma_max must be positive, got {self.gamma_max}")
+        if not (math.isfinite(self.gamma_max) and self.gamma_max > 0.0):
+            raise ValueError(f"gamma_max must be finite and positive, got {self.gamma_max}")
         if not self.tau > 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")
         if abs(math.sin(self.theta)) < 1e-12:
             raise ValueError("sin(theta) = 0 decouples both atoms; pick another phase")
         if self.direction not in (RIGHT_TO_BATTERY, LEFT_TO_CHARGER):

@@ -83,8 +83,8 @@ def closed_form_params(layout: CouplingLayout) -> CouplingParams:
 
     The trigonometric sums are evaluated in factored form so that the
     decoupling zeros (factors like 1 + cos(theta)) are exact in floating
-    point, not merely ~1e-16.  Only built-in topologies have closed forms;
-    use :func:`positional_params` for custom layouts.
+    point, not merely ~1e-16.  Only the built-in topologies (braided,
+    nested, separated) have closed forms.
     """
     th = layout.theta
     g = layout.gamma
@@ -114,75 +114,6 @@ def closed_form_params(layout: CouplingLayout) -> CouplingParams:
         Gamma_coll = 2.0 * g * (math.cos(th) + math.cos(2.0 * th))
         return CouplingParams(delta_a, delta_b, g_ab, Gamma_a, Gamma_b, Gamma_coll)
     raise UnsupportedTopologyError(
-        f"no closed form for topology {variant!r}; use positional_params"
+        f"no closed form for topology {variant!r}; the built-in ones are "
+        f"{', '.join(sorted(BUILTIN_TOPOLOGIES))}"
     )
-
-
-def positional_params(layout: CouplingLayout) -> CouplingParams:
-    """Coefficients from the general sums over connection-point pairs.
-
-    Gamma_j    = gamma * sum_{n,m} cos(theta |x_jn - x_jm|)
-    delta_j    = gamma/2 * sum_{n,m} sin(theta |x_jn - x_jm|)
-    Gamma_coll = gamma * sum_{n,m} cos(theta |x_an - x_bm|)
-    g_ab       = gamma/2 * sum_{n,m} sin(theta |x_an - x_bm|)
-
-    with n, m running over both connection points of each atom.  Valid for
-    any layout, including the built-in variants (where it reproduces
-    :func:`closed_form_params`).
-    """
-    th = layout.theta
-    g = layout.gamma
-    xa = layout.topology.coords[0:2]
-    xb = layout.topology.coords[2:4]
-
-    def self_sums(xs):
-        cos_sum = 0.0
-        sin_sum = 0.0
-        for xn in xs:
-            for xm in xs:
-                d = th * abs(xn - xm)
-                cos_sum += math.cos(d)
-                sin_sum += math.sin(d)
-        return cos_sum, sin_sum
-
-    cos_a, sin_a = self_sums(xa)
-    cos_b, sin_b = self_sums(xb)
-    cos_ab = 0.0
-    sin_ab = 0.0
-    for xn in xa:
-        for xm in xb:
-            d = th * abs(xn - xm)
-            cos_ab += math.cos(d)
-            sin_ab += math.sin(d)
-
-    return CouplingParams(
-        delta_a=0.5 * g * sin_a,
-        delta_b=0.5 * g * sin_b,
-        g_ab=0.5 * g * sin_ab,
-        Gamma_a=g * cos_a,
-        Gamma_b=g * cos_b,
-        Gamma_coll=g * cos_ab,
-    )
-
-
-def decoherence_free_phases(topology: Topology) -> list[float]:
-    """Phases in [0, 2*pi) where all decay rates vanish but g_ab does not.
-
-    Atom a's decay rate 2 gamma (1 + cos(theta d_a)), with d_a its
-    connection-point spacing, vanishes exactly at theta d_a = (2k+1) pi,
-    so only these candidates (k < d_a; the built-in spacings are
-    integers) can be decoherence-free.  A candidate is kept if the total
-    decay Gamma_a + Gamma_b + |Gamma_coll| vanishes there (to 1e-9) and
-    the exchange coupling survives (|g_ab| > 1e-6).
-    """
-    if topology.variant == "custom":
-        raise UnsupportedTopologyError("decoherence-free phases need a built-in topology")
-    x_a1, x_a2 = topology.coords[0:2]
-    d_a = abs(x_a2 - x_a1)
-    phases = []
-    for k in range(int(d_a)):
-        theta = (2 * k + 1) * math.pi / d_a
-        p = closed_form_params(CouplingLayout(topology, theta, 1.0))
-        if p.Gamma_a + p.Gamma_b + abs(p.Gamma_coll) <= 1e-9 and abs(p.g_ab) > 1e-6:
-            phases.append(theta)
-    return phases

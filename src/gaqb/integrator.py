@@ -14,6 +14,7 @@ the run.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from typing import Sequence, Union
@@ -65,6 +66,8 @@ class TimeGrid:
             raise ValueError(f"t_end must exceed t_start, got [{self.t_start}, {self.t_end}]")
         if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
+        if not isinstance(self.sample_stride, numbers.Integral):
+            raise ValueError(f"sample_stride must be an integer, got {self.sample_stride!r}")
         if self.sample_stride < 1:
             raise ValueError(f"sample_stride must be >= 1, got {self.sample_stride}")
         steps = (self.t_end - self.t_start) / self.dt

@@ -1,4 +1,4 @@
-"""Two-qubit states and the master-equation right-hand side.
+"""Two-qubit states and the master-equation generator.
 
 Basis convention: product states |n_a n_b> with n = 0 (ground) or 1
 (excited), ordered by index = 2*n_a + n_b:
@@ -232,8 +232,8 @@ def make_generator(specs: Sequence[LiouvillianSpec]) -> Callable[[np.ndarray], n
 
     The returned function maps an array of times to the (N, *times.shape, 7)
     coefficients, cell i under spec i; cell i's generator at a time is its
-    seven coefficients times the basis (:func:`generators`).  A
-    time-independent spec repeats its coefficients at every time.
+    seven coefficients times the basis.  A time-independent spec repeats
+    its coefficients at every time.
     """
     def coefficients(times):
         c = np.empty((len(specs), *np.shape(times), 7))
@@ -251,24 +251,3 @@ def make_generator(specs: Sequence[LiouvillianSpec]) -> Callable[[np.ndarray], n
         return c
 
     return coefficients
-
-
-def generators(spec: LiouvillianSpec, times) -> np.ndarray:
-    """Real generators of a spec at each of an array of times, (..., 17, 17).
-
-    The 16x16 block maps the :func:`coordinates` of rho to those of its
-    time derivative; row 16 is the rate at which energy leaves the atoms
-    into the waveguide.  All times are one matmul of their seven
-    coefficients with the fixed basis.
-    """
-    c = make_generator([spec])(times)[0]
-    return (c @ _BASIS).reshape(*c.shape[:-1], 17, 17)
-
-
-def rhs(spec: LiouvillianSpec, t: float, rho: np.ndarray) -> np.ndarray:
-    """drho/dt for a validated input state. Traceless, Hermiticity-preserving.
-
-    Applies the state block of :func:`generators` to the coordinates of rho.
-    """
-    validate_density_matrix(rho)
-    return density_matrices(generators(spec, t)[:16, :16] @ coordinates(rho))

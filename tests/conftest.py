@@ -1,14 +1,18 @@
+import ast
 import math
+import re
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gaqb.chiral import ChiralProtocol, default_grid, run_transfer
 from gaqb.cli import RunConfig, run_sweep
-from gaqb.geometry import CouplingLayout, closed_form_params
+from gaqb.geometry import CouplingLayout, CouplingParams, UnsupportedTopologyError, closed_form_params
 from gaqb.integrator import TimeGrid, evolve
 from gaqb.liouville import (
+    _BASIS,
     BIDIRECTIONAL,
     CASCADED_RIGHT,
     EXCHANGE,
@@ -20,9 +24,27 @@ from gaqb.liouville import (
     LiouvillianSpec,
     coordinates,
     cross_dissipator,
+    density_matrices,
     dissipator,
     jump_operator,
+    make_generator,
+    validate_density_matrix,
 )
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def quick_start():
+    """The README's python quick-start block."""
+    return re.search(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
+
+
+def quick_start_imports():
+    """The names the quick start imports from the package root."""
+    return {alias.name for node in ast.walk(ast.parse(quick_start()))
+            if isinstance(node, ast.ImportFrom) and node.module == "gaqb"
+            for alias in node.names}
 
 
 @pytest.fixture(scope="session")
@@ -50,6 +72,101 @@ def chiral_forward():
 def spec_for(topo, theta, gamma=0.1):
     """Bidirectional spec of a topology at phase theta, closed-form coefficients."""
     return LiouvillianSpec(closed_form_params(CouplingLayout(topo, theta, gamma)))
+
+
+# the general coupling sums and the generator matrices: oracles the tests
+# check the package's closed forms and march against
+
+
+def positional_params(layout):
+    """Coefficients from the general sums over connection-point pairs.
+
+    Gamma_j    = gamma * sum_{n,m} cos(theta |x_jn - x_jm|)
+    delta_j    = gamma/2 * sum_{n,m} sin(theta |x_jn - x_jm|)
+    Gamma_coll = gamma * sum_{n,m} cos(theta |x_an - x_bm|)
+    g_ab       = gamma/2 * sum_{n,m} sin(theta |x_an - x_bm|)
+
+    with n, m running over both connection points of each atom.  Valid for
+    any layout, including the built-in variants (where it reproduces
+    :func:`closed_form_params`).
+    """
+    th = layout.theta
+    g = layout.gamma
+    xa = layout.topology.coords[0:2]
+    xb = layout.topology.coords[2:4]
+
+    def self_sums(xs):
+        cos_sum = 0.0
+        sin_sum = 0.0
+        for xn in xs:
+            for xm in xs:
+                d = th * abs(xn - xm)
+                cos_sum += math.cos(d)
+                sin_sum += math.sin(d)
+        return cos_sum, sin_sum
+
+    cos_a, sin_a = self_sums(xa)
+    cos_b, sin_b = self_sums(xb)
+    cos_ab = 0.0
+    sin_ab = 0.0
+    for xn in xa:
+        for xm in xb:
+            d = th * abs(xn - xm)
+            cos_ab += math.cos(d)
+            sin_ab += math.sin(d)
+
+    return CouplingParams(
+        delta_a=0.5 * g * sin_a,
+        delta_b=0.5 * g * sin_b,
+        g_ab=0.5 * g * sin_ab,
+        Gamma_a=g * cos_a,
+        Gamma_b=g * cos_b,
+        Gamma_coll=g * cos_ab,
+    )
+
+
+def decoherence_free_phases(topology):
+    """Phases in [0, 2*pi) where all decay rates vanish but g_ab does not.
+
+    Atom a's decay rate 2 gamma (1 + cos(theta d_a)), with d_a its
+    connection-point spacing, vanishes exactly at theta d_a = (2k+1) pi,
+    so only these candidates (k < d_a; the built-in spacings are
+    integers) can be decoherence-free.  A candidate is kept if the total
+    decay Gamma_a + Gamma_b + |Gamma_coll| vanishes there (to 1e-9) and
+    the exchange coupling survives (|g_ab| > 1e-6).
+    """
+    if topology.variant == "custom":
+        raise UnsupportedTopologyError("decoherence-free phases need a built-in topology")
+    x_a1, x_a2 = topology.coords[0:2]
+    d_a = abs(x_a2 - x_a1)
+    phases = []
+    for k in range(int(d_a)):
+        theta = (2 * k + 1) * math.pi / d_a
+        p = closed_form_params(CouplingLayout(topology, theta, 1.0))
+        if p.Gamma_a + p.Gamma_b + abs(p.Gamma_coll) <= 1e-9 and abs(p.g_ab) > 1e-6:
+            phases.append(theta)
+    return phases
+
+
+def generators(spec, times):
+    """Real generators of a spec at each of an array of times, (..., 17, 17).
+
+    The 16x16 block maps the :func:`coordinates` of rho to those of its
+    time derivative; row 16 is the rate at which energy leaves the atoms
+    into the waveguide.  All times are one matmul of their seven
+    coefficients with the fixed basis.
+    """
+    c = make_generator([spec])(times)[0]
+    return (c @ _BASIS).reshape(*c.shape[:-1], 17, 17)
+
+
+def rhs(spec, t, rho):
+    """drho/dt for a validated input state. Traceless, Hermiticity-preserving.
+
+    Applies the state block of :func:`generators` to the coordinates of rho.
+    """
+    validate_density_matrix(rho)
+    return density_matrices(generators(spec, t)[:16, :16] @ coordinates(rho))
 
 
 def effective_hamiltonian(spec, t=0.0):

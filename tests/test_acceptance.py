@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import charger_state, convergence_order, spec_for
+from conftest import charger_state, convergence_order, positional_params, spec_for
 from gaqb.chiral import LEFT_TO_CHARGER, default_grid, run_transfer
 from gaqb.cli import _parabolic_peak, main
 from gaqb.geometry import (
@@ -24,7 +24,6 @@ from gaqb.geometry import (
     SEPARATED,
     CouplingLayout,
     closed_form_params,
-    positional_params,
 )
 from gaqb.integrator import TimeGrid, evolve
 from gaqb.liouville import projector

@@ -129,6 +129,15 @@ def test_protocol_validation():
         ChiralProtocol(gamma_max=1.0, tau=1.0, direction="up")
 
 
+@pytest.mark.parametrize("field, value", [("theta", math.nan), ("theta", math.inf),
+                                          ("gamma_max", math.inf)])
+def test_protocol_rejects_non_finite(field, value):
+    # each would otherwise end the run in a non-finite state or a bare
+    # math domain error
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        replace(PROTO, **{field: value})
+
+
 # --- transfer dynamics ----------------------------------------------------------
 
 def test_transfer_is_nearly_lossless():

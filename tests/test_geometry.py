@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import decoherence_free_phases, positional_params
 from gaqb.geometry import (
     BRAIDED,
     NESTED,
@@ -11,8 +12,6 @@ from gaqb.geometry import (
     Topology,
     UnsupportedTopologyError,
     closed_form_params,
-    decoherence_free_phases,
-    positional_params,
 )
 
 TOPOLOGIES = (BRAIDED, SEPARATED, NESTED)
@@ -61,7 +60,7 @@ def test_separated_07_closed_vs_oracle():
 
 def test_closed_form_rejects_custom():
     layout = CouplingLayout(Topology("custom", (0.0, 1.0, 2.0, 3.5)), 0.3, 0.1)
-    with pytest.raises(UnsupportedTopologyError):
+    with pytest.raises(UnsupportedTopologyError, match="braided, nested, separated"):
         closed_form_params(layout)
 
 

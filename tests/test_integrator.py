@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import (
-    DELTA_N, convergence_order, moving_coordinates, random_density, spec_for, textbook_rhs,
+    DELTA_N, convergence_order, generators, moving_coordinates, random_density, spec_for,
+    textbook_rhs,
 )
 from gaqb.chiral import ChiralProtocol, chiral_spec
 from gaqb.geometry import BRAIDED, NESTED, SEPARATED, CouplingParams
@@ -17,7 +18,6 @@ from gaqb.liouville import (
     StateValidationError,
     coordinates,
     density_matrices,
-    generators,
     projector,
 )
 from gaqb.metrics import compute_records
@@ -500,6 +500,15 @@ def test_grid_validation():
         TimeGrid(0.0, 1.0, dt=-0.1)
     with pytest.raises(ValueError):
         TimeGrid(0.0, 1.0, dt=0.1, sample_stride=0)
+
+
+def test_grid_stride_must_be_an_integer():
+    with pytest.raises(ValueError, match="sample_stride must be an integer"):
+        TimeGrid(0.0, 1.0, dt=0.1, sample_stride=2.5)
+    # numpy integers stay accepted and sample as ints do
+    runs = [evolve(spec_for(BRAIDED, 0.7), EG, TimeGrid(0.0, 1.0, dt=0.1, sample_stride=s))
+            for s in (2, np.int64(2))]
+    assert np.array_equal(runs[0].times, runs[1].times) and len(runs[0].times) == 6
 
 
 def test_records_attached_by_metrics():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import effective_hamiltonian, random_density, spec_for, textbook_rhs
+from conftest import effective_hamiltonian, generators, random_density, rhs, spec_for, textbook_rhs
 from gaqb.chiral import ChiralProtocol, chiral_coupling_params, chiral_spec
 from gaqb.geometry import (
     BRAIDED, NESTED, SEPARATED, CouplingLayout, CouplingParams, closed_form_params,
@@ -21,11 +21,9 @@ from gaqb.liouville import (
     cross_dissipator,
     density_matrices,
     dissipator,
-    generators,
     ket,
     make_generator,
     projector,
-    rhs,
     validate_density_matrix,
 )
 

@@ -1,17 +1,9 @@
 """The README's python quick start runs, prints what its comments say and
 imports exactly what the package root exports."""
-import ast
 import inspect
-import re
-from pathlib import Path
 
+from conftest import README, quick_start, quick_start_imports
 import gaqb
-
-README = Path(__file__).resolve().parents[1] / "README.md"
-
-
-def quick_start():
-    return re.search(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
 
 
 def test_quick_start_prints_its_comments(capsys):
@@ -25,9 +17,7 @@ def test_quick_start_prints_its_comments(capsys):
 
 
 def test_package_root_exports_the_quick_start_names():
-    imported = {alias.name for node in ast.walk(ast.parse(quick_start()))
-                if isinstance(node, ast.ImportFrom) and node.module == "gaqb"
-                for alias in node.names}
+    imported = quick_start_imports()
     exported = {name for name, value in vars(gaqb).items()
                 if not name.startswith("_") and not inspect.ismodule(value)}
     assert exported == imported
