@@ -64,7 +64,7 @@ class RunConfig:
 _FIELD_TYPES = get_type_hints(RunConfig)
 # the values a string field may take, as flag choices and in config files
 _CHOICES = {
-    "topology": sorted(BUILTIN_TOPOLOGIES),
+    "topology": BUILTIN_TOPOLOGIES,
     "format": ("csv", "json"),
     "direction": (RIGHT_TO_BATTERY, LEFT_TO_CHARGER),
 }
@@ -217,10 +217,9 @@ PARAMS_HEADER = ("theta", "g_ab", "Gamma_a", "Gamma_b", "Gamma_coll", "delta_a",
 
 
 def run_params(cfg: RunConfig):
-    topo = BUILTIN_TOPOLOGIES[cfg.topology]
     rows = []
     for th in _theta_grid(cfg):
-        p = closed_form_params(CouplingLayout(topo, float(th), cfg.gamma))
+        p = closed_form_params(CouplingLayout(cfg.topology, float(th), cfg.gamma))
         row = (th, *(getattr(p, name) for name in PARAMS_HEADER[1:]))
         if not all(map(math.isfinite, row)):
             raise SimulationError(f"coefficients at theta = {th:.10g} are not finite")
@@ -233,7 +232,7 @@ CHARGE_HEADER = ("t", "p_a", "p_b", "E", "ergotropy", "sigma", "power", "purity"
 
 def charge_trajectory(cfg: RunConfig):
     """One charging run from |e_a g_b>; returns its metrics records."""
-    layout = CouplingLayout(BUILTIN_TOPOLOGIES[cfg.topology], cfg.theta, cfg.gamma)
+    layout = CouplingLayout(cfg.topology, cfg.theta, cfg.gamma)
     spec = LiouvillianSpec(closed_form_params(layout))
     grid = TimeGrid(0.0, cfg.tmax, dt=cfg.dt, sample_stride=cfg.sample_stride)
     return compute_records(evolve(spec, projector("eg"), grid))
@@ -252,8 +251,7 @@ def _sweep_cell(cfg: RunConfig, thetas, stride: int) -> np.recarray:
     energy over time); a cell's records have the same bits alone or in
     any batch.
     """
-    topo = BUILTIN_TOPOLOGIES[cfg.topology]
-    specs = [LiouvillianSpec(closed_form_params(CouplingLayout(topo, th, cfg.gamma)))
+    specs = [LiouvillianSpec(closed_form_params(CouplingLayout(cfg.topology, th, cfg.gamma)))
              for th in thetas]
     grid = TimeGrid(0.0, cfg.tmax, dt=cfg.dt, sample_stride=stride)
     try:

@@ -1,10 +1,10 @@
 """Coupling geometry of two two-point giant atoms along a 1D waveguide.
 
 Each atom touches the waveguide at two connection points.  The relative
-ordering of the four points (braided / separated / nested) together with
-the phase ``theta`` accumulated between neighboring points fixes all
-master-equation coefficients: individual decay rates, the collective decay
-rate, Lamb shifts, and the waveguide-mediated exchange coupling.
+ordering of the four points, a layout named by its string ("braided",
+"nested" or "separated"), together with the phase ``theta`` accumulated
+between neighboring points fixes all master-equation coefficients: the
+individual and collective decay rates, Lamb shifts, and the exchange coupling.
 
 All rates and shifts are returned in units of the atomic transition
 frequency; ``theta`` is in radians and every derived quantity is
@@ -17,40 +17,18 @@ from dataclasses import dataclass
 
 
 class UnsupportedTopologyError(ValueError):
-    """Raised when a closed-form evaluation is asked for a custom layout."""
+    """Raised when a closed-form evaluation is asked for a layout that is not built in."""
 
 
-@dataclass(frozen=True)
-class Topology:
-    """Connection-point layout; coordinates in units of the neighbor spacing d.
-
-    ``coords`` is ``(x_a1, x_a2, x_b1, x_b2)``.
-    """
-
-    variant: str
-    coords: tuple[float, float, float, float]
-
-    def __post_init__(self):
-        if not all(math.isfinite(x) for x in self.coords):
-            raise ValueError(f"non-finite connection-point coordinate in {self.coords}")
-
-
-BRAIDED = Topology("braided", (0.0, 2.0, 1.0, 3.0))
-SEPARATED = Topology("separated", (0.0, 1.0, 2.0, 3.0))
-NESTED = Topology("nested", (0.0, 3.0, 1.0, 2.0))
-
-BUILTIN_TOPOLOGIES = {
-    "braided": BRAIDED,
-    "separated": SEPARATED,
-    "nested": NESTED,
-}
+# a layout is its name; the paper's three are the ones with closed forms
+BRAIDED, NESTED, SEPARATED = BUILTIN_TOPOLOGIES = ("braided", "nested", "separated")
 
 
 @dataclass(frozen=True)
 class CouplingLayout:
-    """A topology plus the accumulated phase theta and bare per-point rate gamma."""
+    """A topology's name plus the accumulated phase theta and bare per-point rate gamma."""
 
-    topology: Topology
+    topology: str
     theta: float
     gamma: float
 
@@ -88,8 +66,8 @@ def closed_form_params(layout: CouplingLayout) -> CouplingParams:
     """
     th = layout.theta
     g = layout.gamma
-    variant = layout.topology.variant
-    if variant == "braided":
+    topology = layout.topology
+    if topology == BRAIDED:
         # 3 sin(th) + sin(3 th) = 2 sin(th) (2 + cos(2 th));  3 cos + cos3 = 4 cos^3,
         # taken as Gamma cos(th) so that |Gamma_coll| <= Gamma holds in floating
         # point and both are exactly 0 at the decoherence-free points
@@ -98,14 +76,14 @@ def closed_form_params(layout: CouplingLayout) -> CouplingParams:
         Gamma = 2.0 * g * (1.0 + math.cos(2.0 * th))
         Gamma_coll = Gamma * math.cos(th)
         return CouplingParams(delta, delta, g_ab, Gamma, Gamma, Gamma_coll)
-    if variant == "separated":
+    if topology == SEPARATED:
         # sin(th) + 2 sin(2 th) + sin(3 th) = 2 sin(2 th) (1 + cos(th))
         delta = g * math.sin(th)
         g_ab = g * math.sin(2.0 * th) * (1.0 + math.cos(th))
         Gamma = 2.0 * g * (1.0 + math.cos(th))
         Gamma_coll = 2.0 * g * math.cos(2.0 * th) * (1.0 + math.cos(th))
         return CouplingParams(delta, delta, g_ab, Gamma, Gamma, Gamma_coll)
-    if variant == "nested":
+    if topology == NESTED:
         delta_a = g * math.sin(3.0 * th)
         delta_b = g * math.sin(th)
         g_ab = g * (math.sin(th) + math.sin(2.0 * th))
@@ -114,6 +92,6 @@ def closed_form_params(layout: CouplingLayout) -> CouplingParams:
         Gamma_coll = 2.0 * g * (math.cos(th) + math.cos(2.0 * th))
         return CouplingParams(delta_a, delta_b, g_ab, Gamma_a, Gamma_b, Gamma_coll)
     raise UnsupportedTopologyError(
-        f"no closed form for topology {variant!r}; the built-in ones are "
-        f"{', '.join(sorted(BUILTIN_TOPOLOGIES))}"
+        f"no closed form for topology {topology!r}; the built-in ones are "
+        f"{', '.join(BUILTIN_TOPOLOGIES)}"
     )

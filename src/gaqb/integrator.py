@@ -113,12 +113,9 @@ def _check_snapshots(times: np.ndarray, x: np.ndarray) -> np.ndarray:
     failing time; the error's ``cell`` attribute holds that index.
     """
     states = density_matrices(x[..., :16])
-    finite = np.isfinite(states).all(axis=(2, 3))
-    if finite.all():
-        eigs = np.linalg.eigvalsh(states).min(axis=2)
-    else:
-        eigs = np.full(finite.shape, -np.inf)
-        eigs[finite] = np.linalg.eigvalsh(states[finite]).min(axis=1)
+    finite = np.isfinite(x[..., :16]).all(axis=2)
+    states[~finite] = 0.0  # a diverged state counts as min eigenvalue -inf
+    eigs = np.where(finite, np.linalg.eigvalsh(states).min(axis=2), -np.inf)
     bad = eigs < -EIG_TOL  # a positivity failure, as for an input state
     if bad.any():
         cell = int(bad.any(axis=1).argmax())

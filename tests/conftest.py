@@ -9,7 +9,7 @@ import pytest
 
 from gaqb.chiral import ChiralProtocol, default_grid, run_transfer
 from gaqb.cli import RunConfig, run_sweep
-from gaqb.geometry import CouplingLayout, CouplingParams, UnsupportedTopologyError, closed_form_params
+from gaqb.geometry import BRAIDED, NESTED, SEPARATED, CouplingLayout, CouplingParams, closed_form_params
 from gaqb.integrator import TimeGrid, evolve
 from gaqb.liouville import (
     _BASIS,
@@ -23,9 +23,7 @@ from gaqb.liouville import (
     SIGMA_MINUS_B,
     LiouvillianSpec,
     coordinates,
-    cross_dissipator,
     density_matrices,
-    dissipator,
     jump_operator,
     make_generator,
     validate_density_matrix,
@@ -78,7 +76,16 @@ def spec_for(topo, theta, gamma=0.1):
 # check the package's closed forms and march against
 
 
-def positional_params(layout):
+# connection points (x_a1, x_a2, x_b1, x_b2) of each built-in layout, in
+# units of the neighbor spacing d
+COORDS = {
+    BRAIDED: (0.0, 2.0, 1.0, 3.0),
+    SEPARATED: (0.0, 1.0, 2.0, 3.0),
+    NESTED: (0.0, 3.0, 1.0, 2.0),
+}
+
+
+def positional_params(layout, coords=None):
     """Coefficients from the general sums over connection-point pairs.
 
     Gamma_j    = gamma * sum_{n,m} cos(theta |x_jn - x_jm|)
@@ -87,13 +94,15 @@ def positional_params(layout):
     g_ab       = gamma/2 * sum_{n,m} sin(theta |x_an - x_bm|)
 
     with n, m running over both connection points of each atom.  Valid for
-    any layout, including the built-in variants (where it reproduces
-    :func:`closed_form_params`).
+    any ``coords`` (x_a1, x_a2, x_b1, x_b2); by default the layout's entry
+    in :data:`COORDS`, where it reproduces :func:`closed_form_params`.
     """
+    if coords is None:
+        coords = COORDS[layout.topology]
     th = layout.theta
     g = layout.gamma
-    xa = layout.topology.coords[0:2]
-    xb = layout.topology.coords[2:4]
+    xa = coords[0:2]
+    xb = coords[2:4]
 
     def self_sums(xs):
         cos_sum = 0.0
@@ -135,9 +144,7 @@ def decoherence_free_phases(topology):
     decay Gamma_a + Gamma_b + |Gamma_coll| vanishes there (to 1e-9) and
     the exchange coupling survives (|g_ab| > 1e-6).
     """
-    if topology.variant == "custom":
-        raise UnsupportedTopologyError("decoherence-free phases need a built-in topology")
-    x_a1, x_a2 = topology.coords[0:2]
+    x_a1, x_a2 = COORDS[topology][0:2]
     d_a = abs(x_a2 - x_a1)
     phases = []
     for k in range(int(d_a)):
@@ -146,6 +153,28 @@ def decoherence_free_phases(topology):
         if p.Gamma_a + p.Gamma_b + abs(p.Gamma_coll) <= 1e-9 and abs(p.g_ab) > 1e-6:
             phases.append(theta)
     return phases
+
+
+def dissipator(A, rho):
+    """D[A] rho = A rho A^dag - 1/2 (A^dag A rho + rho A^dag A)."""
+    Ad = A.conj().T
+    AdA = Ad @ A
+    return A @ rho @ Ad - 0.5 * (AdA @ rho + rho @ AdA)
+
+
+def cross_dissipator(A, B, rho):
+    """Hermitian cross-damping pair D[A,B] rho + (A <-> B, conjugated).
+
+    D[A,B] rho = A rho B^dag - 1/2 (A^dag B rho + rho A^dag B).  For A = B
+    this collapses to 2 D[A] rho.  The collective term of the bidirectional
+    generator is cross_dissipator(sigma_a^-, sigma_b^-, rho).
+    """
+    Bd = B.conj().T
+    AdB = A.conj().T @ B
+    first = A @ rho @ Bd - 0.5 * (AdB @ rho + rho @ AdB)
+    BdA = AdB.conj().T
+    second = B @ rho @ A.conj().T - 0.5 * (BdA @ rho + rho @ BdA)
+    return first + second
 
 
 def generators(spec, times):

@@ -202,7 +202,7 @@ def test_c08_vanishing_toward_pi():
             sig.append(dense_records(topo, math.pi - eps).sigma.max())
         vanishing = all(np.diff(sig) < 0) and sig[-1] <= 0.12
         ok = ok and mono and vanishing
-        detail.append(f"{topo.variant}: params monotone {mono}, "
+        detail.append(f"{topo}: params monotone {mono}, "
                       f"sigma_max {['%.4f' % s for s in sig]} -> 0 {vanishing}")
     report("C8 monotone decoupling toward theta=pi", ok, "; ".join(detail))
 

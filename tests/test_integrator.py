@@ -270,7 +270,7 @@ def test_single_run_energy_ledger():
         traj = evolve(spec_for(topo, theta), EG, grid)
         pops = np.diagonal(traj.states, axis1=1, axis2=2).real
         ledger = pops[:, 2] + pops[:, 1] + 2.0 * pops[:, 3] + traj.aux
-        assert np.abs(ledger - 1.0).max() <= 1e-12, (topo.variant, theta)
+        assert np.abs(ledger - 1.0).max() <= 1e-12, (topo, theta)
 
 
 def test_batch_energy_ledger():

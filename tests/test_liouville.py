@@ -3,13 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from conftest import effective_hamiltonian, generators, random_density, rhs, spec_for, textbook_rhs
+from conftest import (
+    cross_dissipator, dissipator, effective_hamiltonian, generators, random_density, rhs, spec_for, textbook_rhs,
+)
 from gaqb.chiral import ChiralProtocol, chiral_coupling_params, chiral_spec
 from gaqb.geometry import (
     BRAIDED, NESTED, SEPARATED, CouplingLayout, CouplingParams, closed_form_params,
 )
 from gaqb.liouville import (
+    _BASIS,
+    _P,
+    _Q,
     BIDIRECTIONAL,
+    EXCHANGE,
+    EXCHANGE_CHIRAL,
+    NUMBER_A,
+    NUMBER_B,
     SIGMA_MINUS_A,
     SIGMA_MINUS_B,
     CASCADED_LEFT,
@@ -18,9 +27,7 @@ from gaqb.liouville import (
     StateValidationError,
     block_basis,
     coordinates,
-    cross_dissipator,
     density_matrices,
-    dissipator,
     ket,
     make_generator,
     projector,
@@ -169,6 +176,29 @@ def test_rhs_matches_textbook_composition():
         expected, rate = textbook_rhs(spec, 0.0, rho)
         np.testing.assert_allclose(rhs(spec, 0.0, rho), expected, atol=1e-14)
         assert abs(emitted @ np.append(coordinates(rho), 0.0) - rate) <= 1e-14
+
+
+def test_basis_bits_match_textbook_superoperators():
+    # each basis map built column by column, the oracles applied to the 16
+    # unit matrices |i><j|, with its flux row Tr[loss rho], then taken to
+    # the real coordinates: every entry is in {0, +/-0.5, +/-1, +/-2}, so
+    # the Kronecker-product construction must match it bit for bit
+    units = np.eye(16, dtype=complex).reshape(16, 4, 4)
+
+    def superoperator(action, flux=np.zeros((4, 4))):
+        out = np.zeros((17, 17), dtype=complex)
+        out[:16, :16] = np.stack([action(u).ravel() for u in units], axis=1)
+        out[16, :16] = flux.T.ravel()
+        return out
+
+    sa, sb = SIGMA_MINUS_A, SIGMA_MINUS_B
+    maps = [superoperator(lambda rho: dissipator(sa, rho), NUMBER_A),
+            superoperator(lambda rho: dissipator(sb, rho), NUMBER_B),
+            superoperator(lambda rho: cross_dissipator(sa, sb, rho), EXCHANGE),
+            *(superoperator(lambda rho, H=H: -1j * (H @ rho - rho @ H))
+              for H in (NUMBER_A, NUMBER_B, EXCHANGE_CHIRAL, EXCHANGE))]
+    expected = (_Q @ np.stack(maps) @ _P).real.reshape(_BASIS.shape)
+    assert np.array_equal(expected.view(np.uint64), _BASIS.view(np.uint64))
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.dissipator_kind)

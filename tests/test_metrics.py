@@ -187,7 +187,7 @@ def test_metric_arrays_match_per_state_functions_bitwise():
         check(cells[i], per_state(batch.times, batch.states[i]))
 
 
-@pytest.mark.parametrize("topology", [BRAIDED, SEPARATED, NESTED])
+@pytest.mark.parametrize("topology", [BRAIDED, SEPARATED, NESTED], ids=["topology0", "topology1", "topology2"])
 def test_closed_form_ergotropy_with_battery_coherence(topology):
     # full-rank initial states fill every |Delta n| block, so the battery
     # has 0-1 coherence and the closed-form passive state differs from
