@@ -28,6 +28,7 @@ from .liouville import (
     block_basis,
     coordinates,
     density_matrices,
+    lower_eigenvalue,
     make_generator,
     validate_density_matrix,
 )
@@ -106,16 +107,25 @@ class ChargingTrajectory:
         return self.coordinates[..., 16]
 
 
-def _check_snapshots(times: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _check_snapshots(times: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
     """Per-cell minimum eigenvalue of the states of (N,T,17) snapshot coordinates.
 
-    A failure is reported for the lowest-index failing cell at its earliest
-    failing time; the error's ``cell`` attribute holds that index.
+    ``m`` is the march's block size: at 7, the Delta n = 0 block, a state is
+    rho_00 (+) its {ge, eg} 2x2 block (+) rho_33, read in closed form; a
+    fuller state goes through ``eigvalsh``.  A non-finite state counts as
+    -inf.  A failure is reported for the lowest-index failing cell at its
+    earliest failing time; the error's ``cell`` attribute holds that index.
     """
-    states = density_matrices(x[..., :16])
     finite = np.isfinite(x[..., :16]).all(axis=2)
-    states[~finite] = 0.0  # a diverged state counts as min eigenvalue -inf
-    eigs = np.where(finite, np.linalg.eigvalsh(states).min(axis=2), -np.inf)
+    if m == 7:
+        with np.errstate(all="ignore"):  # a non-finite state reads -inf below
+            lower = lower_eigenvalue(x[..., 1], x[..., 2], np.hypot(x[..., 10], x[..., 11]))
+            eigs = np.minimum(np.minimum(x[..., 0], x[..., 3]), lower)
+    else:
+        states = density_matrices(x[..., :16])
+        states[~finite] = 0.0
+        eigs = np.linalg.eigvalsh(states).min(axis=2)
+    eigs = np.where(finite, eigs, -np.inf)
     bad = eigs < -EIG_TOL  # a positivity failure, as for an input state
     if bad.any():
         cell = int(bad.any(axis=1).argmax())
@@ -145,8 +155,8 @@ def _march(specs, rho0, aux0, grid, n_full, rem, snaps):
     exceeds 1e-12, the first such step's drifting cells are renormalized
     and the block is stepped again from there, so every bit is that of a
     step-by-step loop.  Returns the (N,T,17) snapshot coordinates, the
-    emitted energy last, and the per-cell maximum trace drift (NaN drifts
-    skipped) and count of renormalized steps.
+    emitted energy last, the per-cell maximum trace drift (NaN drifts
+    skipped) and count of renormalized steps, and m.
     """
     x0 = coordinates(rho0)
     idx, basis = block_basis(x0)
@@ -197,7 +207,7 @@ def _march(specs, rho0, aux0, grid, n_full, rem, snaps):
     out[-1] = buf[0, ..., 0]  # the last block wrote it, unless the window takes no step
     full = np.zeros((cells, len(snaps), 17))
     full[..., idx] = out.swapaxes(0, 1)
-    return full, drift_max, renorms
+    return full, drift_max, renorms, m
 
 
 def evolve(
@@ -237,8 +247,8 @@ def evolve(
     times[-1] = grid.t_end
     # a state that blows up keeps stepping quietly; the snapshot check names it
     with np.errstate(all="ignore"):
-        full, drift_max, renorms = _march([spec] if single else spec, rho0, aux0, grid, n_full, rem, snaps)
-    min_eig = _check_snapshots(times, full)
+        full, drift_max, renorms, m = _march([spec] if single else spec, rho0, aux0, grid, n_full, rem, snaps)
+    min_eig = _check_snapshots(times, full, m)
     if single:
         full, drift_max, min_eig, renorms = full[0], float(drift_max[0]), float(min_eig[0]), int(renorms[0])
     return ChargingTrajectory(times=times, coordinates=full, max_trace_drift=drift_max,

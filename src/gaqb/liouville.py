@@ -188,6 +188,16 @@ def density_matrices(x: np.ndarray) -> np.ndarray:
     return (x @ _P[:16, :16].T).reshape(*x.shape[:-1], 4, 4)
 
 
+def lower_eigenvalue(d1, d2, c):
+    """Smaller eigenvalue of the Hermitian [[d1, c*], [c, d2]], given |c| as ``c``.
+
+    Written as min(d1, d2) - (hypot(h, c) - h) with h = |d1 - d2| / 2, not
+    (d1 + d2) / 2 - hypot(h, c), so it is exactly min(d1, d2) where c = 0.
+    """
+    h = np.abs(d1 - d2) / 2.0
+    return np.minimum(d1, d2) - (np.hypot(h, c) - h)
+
+
 # either generator is sum_k c_k B_k over one fixed real basis, each B_k a
 # real Q B P.  Bidirectional: (Gamma_a, Gamma_b, Gamma_coll, delta_a,
 # delta_b, 0, g_ab).  Cascaded: (kappa_a, kappa_b, sqrt(kappa_a kappa_b),

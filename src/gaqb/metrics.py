@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .integrator import ChargingTrajectory
+from .liouville import lower_eigenvalue
 
 
 def compute_records(traj: ChargingTrajectory) -> np.recarray:
@@ -33,9 +34,7 @@ def compute_records(traj: ChargingTrajectory) -> np.recarray:
     p = x[..., 1] + x[..., 3]
     a = x[..., 0] + x[..., 2]
     c = np.hypot(x[..., 4] + x[..., 14], x[..., 5] + x[..., 15])
-    h = np.abs(a - p) / 2.0
-    # not (a + p) / 2 - hypot(h, c): this form is exactly min(a, p) where c = 0
-    value = p - (np.minimum(a, p) - (np.hypot(h, c) - h))
+    value = p - lower_eigenvalue(a, p, c)
     erg = np.where(value > 0.0, value, 0.0)
     var = p - p * p
     std = np.sqrt(np.where(var > 0.0, var, 0.0))

@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import random_density, spec_for
+from gaqb import integrator
 from gaqb.cli import (
     _CHOICES,
     _COMMANDS,
@@ -29,6 +31,7 @@ from gaqb.cli import (
     _parabolic_peak,
     _sweep_cell,
 )
+from gaqb.geometry import NESTED
 
 SWEEP_ARGS = [
     "sweep", "--topology", "braided", "--theta-min", "0", "--theta-max",
@@ -301,6 +304,35 @@ def test_chiral_stride_only_when_set(tmp_path):
     # and the default stride of 17 comes from that step, not from dt's 3
     tiny = ["chiral", "--gamma-max", "1", "--tau-scaled", "1e-3", "--dt", "0.005", "--tmax", "10"]
     assert rows(args=tiny) == 590  # steps 0, 17, ..., 9996 and the last one
+
+
+def test_commands_build_no_complex_states(monkeypatch, tmp_path):
+    # every command starts from one excitation, so its snapshots fill the
+    # Delta n = 0 block alone and are checked in closed form, never as 4x4
+    # states; the output is the same bytes either way
+    commands = [SWEEP_ARGS,
+                ["charge", "--topology", "nested", "--theta", "1.1", "--tmax", "10", "--dt", "0.02"],
+                ["chiral", "--gamma-max", "1.0", "--tau-scaled", "10", "--dt", "0.01"],
+                ["chiral", "--gamma-max", "1.0", "--tau-scaled", "10", "--dt", "0.01", "--direction", "left"]]
+
+    def outputs():
+        for i, args in enumerate(commands):
+            assert main(args + ["--out", str(tmp_path / f"{i}.csv")]) == 0
+        return [(tmp_path / f"{i}.csv").read_bytes() for i in range(len(commands))]
+
+    class BuiltStates(Exception):
+        pass
+
+    def refuse(x):
+        raise BuiltStates
+
+    want = outputs()
+    monkeypatch.setattr(integrator, "density_matrices", refuse)
+    assert outputs() == want
+    # a state with coherence across the blocks still goes through them
+    full_rank = random_density(np.random.default_rng(8))
+    with pytest.raises(BuiltStates):
+        integrator.evolve(spec_for(NESTED, 1.1), full_rank, integrator.TimeGrid(0.0, 1.0, dt=0.02))
 
 
 def test_out_into_missing_directory(tmp_path, capsys):

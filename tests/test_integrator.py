@@ -147,6 +147,68 @@ def test_divergence_error():
         evolve(spec_for(BRAIDED, 0.0), EG, TimeGrid(0.0, 20000.0, dt=40.0, sample_stride=10**9))
 
 
+def delta_n_zero_batch(rng, shape=(3, 6)):
+    """(N,T,17) coordinates of random states with no coherence across the
+    Delta n blocks (pinched random states, so still positive), flux 0."""
+    x = np.zeros((*shape, 17))
+    for index in np.ndindex(shape):
+        x[index][:16] = np.where(DELTA_N == 0, coordinates(random_density(rng)), 0.0)
+    return x
+
+
+def test_closed_form_snapshot_check_matches_eigvalsh():
+    # the Delta n = 0 block alone (m = 7) is read in closed form; the same
+    # coordinates through the eigvalsh path (m = 17) give the same minima
+    traj = evolve([spec_for(NESTED, 1.1), spec_for(BRAIDED, 0.4)], EG, TimeGrid(0.0, 50.0, dt=0.02, sample_stride=25))
+    cases = [(traj.times, traj.coordinates), (np.arange(6.0), delta_n_zero_batch(np.random.default_rng(3)))]
+    for times, x in cases:
+        assert not x[..., :16][..., DELTA_N != 0].any()
+        closed = integrator._check_snapshots(times, x, 7)
+        eig = integrator._check_snapshots(times, x, 17)
+        assert closed.shape == eig.shape == (len(x),)
+        assert np.abs(closed - eig).max() <= 1e-15
+
+
+def failure(times, x, m):
+    # the eigvalsh path builds states from non-finite coordinates too (inf
+    # times 0 warns); the closed form must not warn
+    with pytest.raises((PositivityError, DivergenceError)) as err, \
+            np.errstate(invalid="warn" if m == 7 else "ignore"):
+        integrator._check_snapshots(times, x, m)
+    return type(err.value), str(err.value), err.value.cell
+
+
+def test_closed_form_snapshot_check_reports_as_eigvalsh():
+    times = np.arange(6.0) * 2.5
+    x = delta_n_zero_batch(np.random.default_rng(4))
+    # the |ge>, |eg> block [[0.5, c], [c, 0.5]] with |c| = 0.5 + 3.835e-4,
+    # in cells 1 and 2; cell 1 fails first at t = 5, and worse at t = 10
+    for cell, k, c in ((1, 2, 0.5003835), (1, 4, 0.6), (2, 1, 0.7)):
+        x[cell, k, 1:3] = 0.5
+        x[cell, k, 10:12] = c * np.array([0.6, 0.8])
+    want = (PositivityError, "positivity violated at t = 5: min eigenvalue -3.835e-04", 1)
+    assert failure(times, x, 7) == failure(times, x, 17) == want
+    # a non-finite state, NaN or +inf in rho_00 alone, fails before it
+    for value in (np.nan, np.inf):
+        bad = x.copy()
+        bad[1, 1, 0] = value
+        want = (DivergenceError, "non-finite state at t = 2.5", 1)
+        assert failure(times, bad, 7) == failure(times, bad, 17) == want
+    # alone in one cell of a positive batch, a negative rho_00 or rho_33 and
+    # a diverged state name that cell
+    good = delta_n_zero_batch(np.random.default_rng(6))
+    for i in (0, 3):
+        bad = good.copy()
+        bad[2, 3, i] = -2e-3
+        want = (PositivityError, "positivity violated at t = 7.5: min eigenvalue -2.000e-03", 2)
+        assert failure(times, bad, 7) == failure(times, bad, 17) == want
+    for value in (np.nan, np.inf):
+        bad = good.copy()
+        bad[2, 3, 0 if value == np.inf else 10] = value
+        want = (DivergenceError, "non-finite state at t = 7.5", 2)
+        assert failure(times, bad, 7) == failure(times, bad, 17) == want
+
+
 def test_invalid_initial_state_rejected():
     with pytest.raises(StateValidationError):
         evolve(spec_for(BRAIDED, 0.7), 2.0 * EG, TimeGrid(0.0, 1.0, dt=0.01))
@@ -419,7 +481,7 @@ def bits(x):
 def test_renormalizing_march_matches_per_step_loop_bitwise(monkeypatch, specs, rho0, grid, counts,
                                                            diverged):
     # the snapshot check rejects these runs; skip it to compare the marches
-    monkeypatch.setattr(integrator, "_check_snapshots", lambda times, x: np.zeros(len(x)))
+    monkeypatch.setattr(integrator, "_check_snapshots", lambda times, x, m: np.zeros(len(x)))
     with np.errstate(all="ignore"):
         batch = evolve(specs, rho0, grid)
         assert batch.renormalizations.tolist() == counts

@@ -29,6 +29,7 @@ from gaqb.liouville import (
     coordinates,
     density_matrices,
     ket,
+    lower_eigenvalue,
     make_generator,
     projector,
     validate_density_matrix,
@@ -244,6 +245,21 @@ def test_real_coordinates_round_trip():
     # batched: (3, 6, 16) coordinates to (3, 6, 4, 4) states
     rhos, xs = (np.array(a).reshape(3, 6, *a[0].shape) for a in zip(*states))
     assert np.array_equal(density_matrices(xs), rhos)
+
+
+def test_lower_eigenvalue_matches_eigvalsh():
+    # random 2x2 Hermitian blocks, as arrays: diagonals of either sign and
+    # order, coherences from 0 to several times the diagonal gap
+    rng = np.random.default_rng(11)
+    d1, d2 = rng.normal(size=(2, 500))
+    c = rng.normal(size=500) + 1j * rng.normal(size=500)
+    c *= rng.choice([0.0, 1e-9, 0.1, 3.0], size=500)
+    blocks = np.stack([np.stack([d1, c.conj()], -1), np.stack([c, d2], -1)], -2)
+    got = lower_eigenvalue(d1, d2, np.abs(c))
+    assert np.abs(got - np.linalg.eigvalsh(blocks)[:, 0]).max() <= 1e-15 * np.abs(blocks).max()
+    # no coherence: exactly the smaller diagonal entry
+    assert (lower_eigenvalue(d1, d2, 0.0) == np.minimum(d1, d2)).all()
+    assert lower_eigenvalue(0.3, 0.7, 0.0) == 0.3 and lower_eigenvalue(0.25, 0.25, 0.0) == 0.25
 
 
 @pytest.mark.parametrize("theta", [math.pi / 2, 1.2])  # 1.2: nonzero Lamb shifts
