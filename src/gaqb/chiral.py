@@ -64,19 +64,13 @@ class ChiralProtocol:
             raise ValueError(f"unknown direction {self.direction!r}")
 
 
-# math.exp element by element: numpy's vectorized exp differs from it by an
-# ulp on about 0.5% of arguments, which x / (2 - x) grows to 3 ulp; with
-# libm's exp an array call returns the scalar formula's bits
-_libm_exp = np.frompyfunc(math.exp, 1, 1)
-
-
 def rate_profile(t, gamma_max: float, tau: float):
     """Pitch-rate function: exponential rise saturating at gamma_max for t >= tau.
 
     ``t`` may be an array of times; the exponent is capped at 0, so no time
     overflows.
     """
-    x = np.asarray(_libm_exp(gamma_max * (np.minimum(t, tau) - tau)), dtype=float)
+    x = np.exp(gamma_max * (np.minimum(t, tau) - tau))
     return np.where(np.less(t, tau), gamma_max * x / (2.0 - x), gamma_max)[()]
 
 

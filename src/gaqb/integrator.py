@@ -122,8 +122,7 @@ def _check_snapshots(times: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
             lower = lower_eigenvalue(x[..., 1], x[..., 2], np.hypot(x[..., 10], x[..., 11]))
             eigs = np.minimum(np.minimum(x[..., 0], x[..., 3]), lower)
     else:
-        states = density_matrices(x[..., :16])
-        states[~finite] = 0.0
+        states = density_matrices(np.where(finite[..., None], x[..., :16], 0.0))
         eigs = np.linalg.eigvalsh(states).min(axis=2)
     eigs = np.where(finite, eigs, -np.inf)
     bad = eigs < -EIG_TOL  # a positivity failure, as for an input state

@@ -88,7 +88,10 @@ def test_array_params_match_scalar_calls(proto):
         catch = 2.0 * scalar_rate_profile(2.0 * proto.tau - t, proto.gamma_max, proto.tau)
         if proto.direction != RIGHT_TO_BATTERY:
             pitch, catch = catch, pitch
-        assert (one.Gamma_a, one.Gamma_b) == (pitch, catch)
+        # numpy's exp and libm's may differ by an ulp, which x / (2 - x)
+        # grows to a few
+        assert abs(one.Gamma_a - pitch) <= 4 * np.spacing(pitch)
+        assert abs(one.Gamma_b - catch) <= 4 * np.spacing(catch)
     assert arr.Gamma_coll == 0.0
 
 
@@ -175,6 +178,68 @@ def test_reversed_transfer_summary_matches_recorded_values():
     }
     for name, value in recorded.items():
         assert getattr(s, name) == pytest.approx(float.fromhex(value), abs=1e-12)
+
+
+def cascade_oracle(p: ChiralProtocol, t_end: float, panels: int):
+    """(p_sender, p_receiver, leakage) at t_end from the cascaded amplitudes.
+
+    One excitation starts on the sender, which runs the pitch profile; the
+    receiver runs the catch profile.  With kappa_j the profiled rates and
+    Lamb shifts delta_j = 2 shift kappa_j, shift = -sin(2 theta) /
+    (4 sin^2 theta), the no-jump amplitudes obey (Gardiner, PRL 70, 2269
+    (1993))
+
+        c_s' = -(kappa_s / 2 + i delta_s) c_s
+        c_r' = -(kappa_r / 2 + i delta_r) c_r - sqrt(kappa_s kappa_r) c_s,
+
+    so c_s is closed and c_r(t_end) is one integral, taken by 64-point
+    Gauss-Legendre on ``panels`` equal panels of [0, tau] and of
+    [tau, t_end]; tau splits off the profiles' slope kink.
+    """
+    G, tau = p.gamma_max, p.tau
+    w = 0.5 - 0.5j * math.sin(2.0 * p.theta) / math.sin(p.theta) ** 2  # 1/2 + 2 i shift
+
+    def kappa_pitch(t):
+        x = np.exp(G * (np.minimum(t, tau) - tau))
+        return np.where(t < tau, G * x / (2.0 - x), G)
+
+    def integral_pitch(t):  # of kappa_pitch from 0
+        x = np.exp(G * (np.minimum(t, tau) - tau))
+        return math.log(2.0 - math.exp(-G * tau)) - np.log(2.0 - x) + G * np.maximum(t - tau, 0.0)
+
+    def integral_catch(t):  # of kappa_pitch(2 tau - t) from 0
+        return G * np.minimum(t, tau) + np.log(2.0 - np.exp(-G * np.maximum(t - tau, 0.0)))
+
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    c_r = 0.0
+    for a, b in ((0.0, tau), (tau, t_end)):
+        edges = np.linspace(a, b, panels + 1)
+        half = 0.5 * np.diff(edges)[:, None]
+        s = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * nodes
+        c_s = np.exp(-w * integral_pitch(s))
+        coupling = np.sqrt(kappa_pitch(s) * kappa_pitch(2.0 * tau - s))
+        propagate = np.exp(-w * (integral_catch(t_end) - integral_catch(s)))
+        c_r -= np.sum(half * weights * propagate * coupling * c_s)
+    p_s = math.exp(-integral_pitch(t_end))
+    p_r = abs(c_r) ** 2
+    return p_s, p_r, 1.0 - p_s - p_r
+
+
+@pytest.mark.parametrize("direction", [RIGHT_TO_BATTERY, LEFT_TO_CHARGER])
+@pytest.mark.parametrize("theta", [math.pi / 2, 1.2])
+@pytest.mark.parametrize("gamma_tau", [1.0, 4.0, 10.0])
+def test_transfer_matches_cascade_oracle(gamma_tau, theta, direction):
+    # an accuracy check that does not depend on rounding order: the battery's
+    # population in a real transfer, off theta = pi/2 with Lamb shifts too
+    p = ChiralProtocol(gamma_max=0.1, tau=gamma_tau / 0.1, theta=theta, direction=direction)
+    grid = default_grid(p, dt=0.02)
+    oracle = cascade_oracle(p, grid.t_end, 16)
+    assert max(abs(a - b) for a, b in zip(cascade_oracle(p, grid.t_end, 8), oracle)) <= 1e-14
+    _, s = run_transfer(p, grid=grid)
+    run = (s.final_charger_energy, s.final_battery_energy, s.leakage)
+    if direction == LEFT_TO_CHARGER:
+        run = (run[1], run[0], run[2])
+    assert max(abs(a - b) for a, b in zip(run, oracle)) <= 1e-12
 
 
 def test_transfer_energy_stays_put_after_catch():

@@ -170,10 +170,9 @@ def test_closed_form_snapshot_check_matches_eigvalsh():
 
 
 def failure(times, x, m):
-    # the eigvalsh path builds states from non-finite coordinates too (inf
-    # times 0 warns); the closed form must not warn
-    with pytest.raises((PositivityError, DivergenceError)) as err, \
-            np.errstate(invalid="warn" if m == 7 else "ignore"):
+    # neither path may warn on non-finite coordinates (the suite turns a
+    # warning into an error)
+    with pytest.raises((PositivityError, DivergenceError)) as err, np.errstate(invalid="warn"):
         integrator._check_snapshots(times, x, m)
     return type(err.value), str(err.value), err.value.cell
 
@@ -207,6 +206,14 @@ def test_closed_form_snapshot_check_reports_as_eigvalsh():
         bad[2, 3, 0 if value == np.inf else 10] = value
         want = (DivergenceError, "non-finite state at t = 7.5", 2)
         assert failure(times, bad, 7) == failure(times, bad, 17) == want
+
+
+def test_full_rank_run_reports_its_named_error():
+    # a full-rank rho0 takes the eigvalsh path; at dt = 40 later snapshots
+    # overflow, and the named error of the first bad one must surface, not
+    # a warning from building states out of the non-finite coordinates
+    with pytest.raises(PositivityError, match="positivity violated at t = 40:"):
+        evolve(spec_for(BRAIDED, 0.3), np.full((4, 4), 0.25), TimeGrid(0.0, 8000.0, dt=40.0, sample_stride=1))
 
 
 def test_invalid_initial_state_rejected():
