@@ -9,7 +9,7 @@ plane, and runs a chiral pitch-catch protocol for unidirectional remote
 charging.
 """
 # the names of the README's quick start; everything else lives in its module
-from .geometry import BRAIDED, CouplingLayout, closed_form_params
+from .geometry import BRAIDED, closed_form_params
 from .liouville import LiouvillianSpec, projector
 from .integrator import TimeGrid, evolve
 from .metrics import compute_records

@@ -141,23 +141,23 @@ class TransferSummary:
 def transfer_step(p: ChiralProtocol, grid: TimeGrid) -> float:
     """The step :func:`run_transfer` takes on ``grid``, never longer than ``grid.dt``.
 
-    It is (edge - t_start) / ceil((edge - t_start) / dt), with ``edge`` = tau
-    if tau lies inside the window and t_end otherwise.
+    It is edge / ceil(edge / dt), with ``edge`` = tau if tau lies inside
+    the window [0, t_end] and t_end otherwise.
     """
-    edge = p.tau if grid.t_start < p.tau < grid.t_end else grid.t_end
-    # evolve's own slack, floor(span / dt + 1e-9), so a whole count stays whole
-    n = max(1, math.ceil((edge - grid.t_start) / grid.dt - 1e-9))
-    return (edge - grid.t_start) / n
+    edge = min(p.tau, grid.t_end)
+    # evolve's own slack, floor(t_end / dt + 1e-9), so a whole count stays whole
+    n = max(1, math.ceil(edge / grid.dt - 1e-9))
+    return edge / n
 
 
 def default_stride(p: ChiralProtocol, grid: TimeGrid) -> int:
     """Snapshot stride giving about 600 snapshots over ``grid`` at :func:`transfer_step`."""
-    return max(1, round((grid.t_end - grid.t_start) / transfer_step(p, grid) / 600))
+    return max(1, round(grid.t_end / transfer_step(p, grid) / 600))
 
 
 def default_grid(p: ChiralProtocol, dt: float = DEFAULT_DT) -> TimeGrid:
     """Window [0, 3 tau] with the stride of :func:`default_stride`."""
-    grid = TimeGrid(0.0, 3.0 * p.tau, dt=dt)
+    grid = TimeGrid(3.0 * p.tau, dt=dt)
     return replace(grid, sample_stride=default_stride(p, grid))
 
 

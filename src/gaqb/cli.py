@@ -10,7 +10,8 @@ chiral   pitch-catch transfer run with leakage bookkeeping
 Output is CSV (header row, 17-significant-digit floats, '\\n' endings,
 summary as trailing '#' lines) or JSON ({"records": [...], "summary":
 {...}}).  Identical configurations produce byte-identical outputs.  Exit
-codes: 0 success, 1 usage/config error, 2 numerical failure.
+codes: 0 success, 1 usage/config error or out of memory, 2 numerical
+failure.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from typing import Optional, get_type_hints
 import numpy as np
 
 from .chiral import LEFT_TO_CHARGER, RIGHT_TO_BATTERY, ChiralProtocol, default_stride, run_transfer
-from .geometry import BUILTIN_TOPOLOGIES, CouplingLayout, closed_form_params
+from .geometry import BUILTIN_TOPOLOGIES, closed_form_params
 from .integrator import DEFAULT_DT, MAX_STEPS, TimeGrid, evolve
 from .liouville import LiouvillianSpec, SimulationError, projector
 from .metrics import compute_records
@@ -121,7 +122,7 @@ def validate_config(cfg: RunConfig) -> RunConfig:
     if cfg.sample_stride < 1:
         raise ConfigError("sample_stride must be >= 1")
     try:
-        TimeGrid(0.0, cfg.tmax, dt=cfg.dt)  # the step budget
+        TimeGrid(cfg.tmax, dt=cfg.dt)  # the step budget
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if not 2 <= cfg.theta_steps <= MAX_STEPS:
@@ -219,7 +220,7 @@ PARAMS_HEADER = ("theta", "g_ab", "Gamma_a", "Gamma_b", "Gamma_coll", "delta_a",
 def run_params(cfg: RunConfig):
     rows = []
     for th in _theta_grid(cfg):
-        p = closed_form_params(CouplingLayout(cfg.topology, float(th), cfg.gamma))
+        p = closed_form_params(cfg.topology, float(th), cfg.gamma)
         row = (th, *(getattr(p, name) for name in PARAMS_HEADER[1:]))
         if not all(map(math.isfinite, row)):
             raise SimulationError(f"coefficients at theta = {th:.10g} are not finite")
@@ -232,9 +233,8 @@ CHARGE_HEADER = ("t", "p_a", "p_b", "E", "ergotropy", "sigma", "power", "purity"
 
 def charge_trajectory(cfg: RunConfig):
     """One charging run from |e_a g_b>; returns its metrics records."""
-    layout = CouplingLayout(cfg.topology, cfg.theta, cfg.gamma)
-    spec = LiouvillianSpec(closed_form_params(layout))
-    grid = TimeGrid(0.0, cfg.tmax, dt=cfg.dt, sample_stride=cfg.sample_stride)
+    spec = LiouvillianSpec(closed_form_params(cfg.topology, cfg.theta, cfg.gamma))
+    grid = TimeGrid(cfg.tmax, dt=cfg.dt, sample_stride=cfg.sample_stride)
     return compute_records(evolve(spec, projector("eg"), grid))
 
 
@@ -251,9 +251,8 @@ def _sweep_cell(cfg: RunConfig, thetas, stride: int) -> np.recarray:
     energy over time); a cell's records have the same bits alone or in
     any batch.
     """
-    specs = [LiouvillianSpec(closed_form_params(CouplingLayout(cfg.topology, th, cfg.gamma)))
-             for th in thetas]
-    grid = TimeGrid(0.0, cfg.tmax, dt=cfg.dt, sample_stride=stride)
+    specs = [LiouvillianSpec(closed_form_params(cfg.topology, th, cfg.gamma)) for th in thetas]
+    grid = TimeGrid(cfg.tmax, dt=cfg.dt, sample_stride=stride)
     try:
         traj = evolve(specs, projector("eg"), grid)
     except SimulationError as exc:
@@ -333,7 +332,7 @@ def run_chiral(cfg: RunConfig, explicit=()):
     try:
         protocol = ChiralProtocol(gamma_max=cfg.gamma_max, tau=cfg.tau_scaled / cfg.gamma_max,
                                   theta=cfg.theta, direction=cfg.direction)
-        grid = TimeGrid(0.0, cfg.tmax if "tmax" in explicit else 3.0 * protocol.tau, dt=cfg.dt)
+        grid = TimeGrid(cfg.tmax if "tmax" in explicit else 3.0 * protocol.tau, dt=cfg.dt)
         stride = cfg.sample_stride if "sample_stride" in explicit else default_stride(protocol, grid)
         traj, s = run_transfer(protocol, grid=replace(grid, sample_stride=stride))
     except ValueError as exc:  # a decoupling theta or a window over the step budget
@@ -433,6 +432,9 @@ def main(argv=None) -> int:
         return 0
     except ConfigError as exc:
         print(f"gaqb: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # the run does not fit as configured, like the step budget
+        print("gaqb: error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
     except SimulationError as exc:
         print(f"gaqb: numerical failure: {exc}", file=sys.stderr)

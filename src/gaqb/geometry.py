@@ -25,21 +25,6 @@ BRAIDED, NESTED, SEPARATED = BUILTIN_TOPOLOGIES = ("braided", "nested", "separat
 
 
 @dataclass(frozen=True)
-class CouplingLayout:
-    """A topology's name plus the accumulated phase theta and bare per-point rate gamma."""
-
-    topology: str
-    theta: float
-    gamma: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.theta):
-            raise ValueError(f"theta must be finite, got {self.theta}")
-        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
-            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
-
-
-@dataclass(frozen=True)
 class CouplingParams:
     """The six master-equation coefficients (units of the transition frequency).
 
@@ -56,17 +41,20 @@ class CouplingParams:
     Gamma_coll: float
 
 
-def closed_form_params(layout: CouplingLayout) -> CouplingParams:
+def closed_form_params(topology: str, theta: float, gamma: float) -> CouplingParams:
     """Evaluate the per-topology closed-form coefficients.
 
-    The trigonometric sums are evaluated in factored form so that the
-    decoupling zeros (factors like 1 + cos(theta)) are exact in floating
-    point, not merely ~1e-16.  Only the built-in topologies (braided,
-    nested, separated) have closed forms.
+    ``theta`` is the accumulated phase and ``gamma`` the bare per-point
+    rate.  The trigonometric sums are evaluated in factored form so that
+    the decoupling zeros (factors like 1 + cos(theta)) are exact in
+    floating point, not merely ~1e-16.  Only the built-in topologies
+    (braided, nested, separated) have closed forms.
     """
-    th = layout.theta
-    g = layout.gamma
-    topology = layout.topology
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
+    if not (math.isfinite(gamma) and gamma >= 0.0):
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
+    th, g = theta, gamma
     if topology == BRAIDED:
         # 3 sin(th) + sin(3 th) = 2 sin(th) (2 + cos(2 th));  3 cos + cos3 = 4 cos^3,
         # taken as Gamma cos(th) so that |Gamma_coll| <= Gamma holds in floating

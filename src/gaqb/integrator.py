@@ -35,7 +35,7 @@ from .liouville import (
 
 DEFAULT_DT = 0.005  # resolves the fastest rate scales used here with wide margin
 MAX_STEPS = 10**7  # a window needing more steps is a configuration error, not a long run
-CHUNK = 64  # steps per march block; time-dependent maps come a block at once: (N,64,m,m), 148 kB a cell at m = 17
+CHUNK = 256  # steps per march block; time-dependent maps come a block at once: (N,256,m,m), 592 kB a cell at m = 17
 
 
 class PositivityError(SimulationError):
@@ -48,34 +48,33 @@ class DivergenceError(SimulationError):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Integration window and sampling.
+    """Integration window [0, t_end] and sampling.
 
     Steps of size ``dt`` (plus one shorter step to land on ``t_end``);
     snapshots are recorded every ``sample_stride`` steps plus the final
     time.  A window needing more than :data:`MAX_STEPS` steps is rejected.
     """
 
-    t_start: float
     t_end: float
     dt: float = DEFAULT_DT
     sample_stride: int = 1
 
     def __post_init__(self):
-        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
+        if not math.isfinite(self.t_end):
             raise ValueError("time window must be finite")
-        if not self.t_end > self.t_start:
-            raise ValueError(f"t_end must exceed t_start, got [{self.t_start}, {self.t_end}]")
+        if not self.t_end > 0.0:
+            raise ValueError(f"t_end must be positive, got {self.t_end}")
         if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not isinstance(self.sample_stride, numbers.Integral):
             raise ValueError(f"sample_stride must be an integer, got {self.sample_stride!r}")
         if self.sample_stride < 1:
             raise ValueError(f"sample_stride must be >= 1, got {self.sample_stride}")
-        steps = (self.t_end - self.t_start) / self.dt
+        steps = self.t_end / self.dt
         if steps > MAX_STEPS:
             raise ValueError(
-                f"dt = {self.dt:g} needs {steps:.4g} steps over [{self.t_start:g}, "
-                f"{self.t_end:g}]; at most {MAX_STEPS} are allowed"
+                f"dt = {self.dt:g} needs {steps:.4g} steps over [0, {self.t_end:g}]; "
+                f"at most {MAX_STEPS} are allowed"
             )
 
 
@@ -87,8 +86,7 @@ class ChargingTrajectory:
     N specs, whose ``max_trace_drift``, ``min_eigenvalue`` and
     ``renormalizations`` (the number of renormalized steps) are then
     per-cell arrays: the real coordinates of rho, then the energy emitted
-    into the waveguide by each snapshot time.  The (T,4,4) or (N,T,4,4)
-    ``states`` and the emitted energy ``aux`` are derived on each read.
+    into the waveguide by each snapshot time, which ``aux`` reads.
     """
 
     times: np.ndarray
@@ -97,10 +95,6 @@ class ChargingTrajectory:
     min_eigenvalue: Union[float, np.ndarray] = 1.0
     step_count: int = 0
     renormalizations: Union[int, np.ndarray] = 0
-
-    @property
-    def states(self) -> np.ndarray:
-        return density_matrices(self.coordinates[..., :16])
 
     @property
     def aux(self) -> np.ndarray:
@@ -151,11 +145,12 @@ def _march(specs, rho0, aux0, grid, n_full, rem, snaps):
     time-independent batch has one per step size, a time-dependent one
     CHUNK steps' at a time.  Each step is v + D v.  After a block, the
     trace drift of every step and cell is checked at once; if a drift
-    exceeds 1e-12, the first such step's drifting cells are renormalized
-    and the block is stepped again from there, so every bit is that of a
-    step-by-step loop.  Returns the (N,T,17) snapshot coordinates, the
-    emitted energy last, the per-cell maximum trace drift (NaN drifts
-    skipped) and count of renormalized steps, and m.
+    exceeds 1e-12, the block is stepped again from the first such step one
+    step at a time, renormalizing each step's drifting cells, so every bit
+    is that of a step-by-step loop and a block costs at most twice its
+    steps.  Returns the (N,T,17) snapshot coordinates, the emitted energy
+    last, the per-cell maximum trace drift (NaN drifts skipped) and count
+    of renormalized steps, and m.
     """
     x0 = coordinates(rho0)
     idx, basis = block_basis(x0)
@@ -163,7 +158,7 @@ def _march(specs, rho0, aux0, grid, n_full, rem, snaps):
     coefficients = make_generator(specs)
 
     def maps(i):  # the increment maps of steps i, (len(i), N, m, m)
-        t, h = grid.t_start + i * grid.dt, np.where(i < n_full, grid.dt, rem)
+        t, h = i * grid.dt, np.where(i < n_full, grid.dt, rem)
         L = (coefficients(np.stack([t, t + 0.5 * h, t + h])) @ basis).reshape(cells, 3, len(i), m, m)
         L1, L2, L4 = L.swapaxes(0, 1)
         h = h[:, None, None]
@@ -177,35 +172,39 @@ def _march(specs, rho0, aux0, grid, n_full, rem, snaps):
     else:
         D = maps(np.array([0, n_full]))  # the maps of a step of dt and of rem
         steps = chain(repeat(D[0], n_full), D[1:n + 1 - n_full])
+
+    def trace(p):  # of the states in p's leading rows, in a fixed order, unlike .sum()
+        p = p[..., :4, 0]
+        return ((p[..., 0] + p[..., 1]) + p[..., 2]) + p[..., 3]
+
     buf = np.empty((CHUNK + 1, cells, m, 1))  # a block's start state, then its steps
     buf[0] = np.append(x0, aux0)[idx, None]
-    rows, drift = list(buf), np.empty((CHUNK, cells))
-    out = np.empty((len(snaps), cells, m))
-    out[0] = buf[0, ..., 0]
+    rows = list(buf)
+    full = np.zeros((cells, len(snaps), 17))
+    full[:, 0, idx] = buf[0, ..., 0]
     drift_max, renorms, snaps = np.zeros(cells), np.zeros(cells, dtype=int), np.array(snaps)
     for s in range(0, n, CHUNK):
         ds = list(islice(steps, CHUNK))
-        k, r = len(ds), 0
-        while True:  # step from row r: the block start, or the last renormalized step
-            for x, y, d in zip(rows[r:k], rows[r + 1:], ds[r:]):
-                np.add(x, d @ x, out=y)
-            p = buf[r + 1:k + 1, :, :4, 0]
-            trace = ((p[..., 0] + p[..., 1]) + p[..., 2]) + p[..., 3]  # a fixed order, unlike .sum()
-            drift[r:k] = np.abs(trace - 1.0)
-            over = drift[r:k] > 1e-12
-            if not over.any():
-                break
-            j = over.any(axis=1).argmax()
-            r += j + 1
-            buf[r, over[j], :-1] /= trace[j, over[j], None, None]
-            renorms += over[j]
-        drift_max = np.fmax(drift_max, np.fmax.reduce(drift[:k]))  # a NaN drift is skipped
+        k = len(ds)
+        for x, y, d in zip(rows, rows[1:k + 1], ds):
+            np.add(x, d @ x, out=y)
+        tr = trace(buf[1:k + 1])
+        drift = np.abs(tr - 1.0)
+        over = (drift > 1e-12).any(axis=1)
+        j = over.argmax() if over.any() else k
+        for i in range(j, k):  # from the first drifting step on, one step at a time
+            if i > j:
+                np.add(rows[i], ds[i] @ rows[i], out=rows[i + 1])
+                tr[i] = trace(buf[i + 1])
+                drift[i] = np.abs(tr[i] - 1.0)
+            hit = drift[i] > 1e-12
+            buf[i + 1, hit, :-1] /= tr[i, hit, None, None]
+            renorms += hit
+        drift_max = np.fmax(drift_max, np.fmax.reduce(drift))  # a NaN drift is skipped
         lo, hi = snaps.searchsorted([s, s + k], side="right")
-        out[lo:hi] = buf[snaps[lo:hi] - s, ..., 0]
+        full[:, lo:hi, idx] = buf[snaps[lo:hi] - s, ..., 0].swapaxes(0, 1)
         buf[0] = buf[k]
-    out[-1] = buf[0, ..., 0]  # the last block wrote it, unless the window takes no step
-    full = np.zeros((cells, len(snaps), 17))
-    full[..., idx] = out.swapaxes(0, 1)
+    full[:, -1, idx] = buf[0, ..., 0]  # the last block wrote it, unless the window takes no step
     return full, drift_max, renorms, m
 
 
@@ -234,15 +233,14 @@ def evolve(
         raise ValueError("evolve co-integrates no aux callback; pass aux=None")
     validate_density_matrix(rho0)
 
-    span = grid.t_end - grid.t_start
-    n_full = int(math.floor(span / grid.dt + 1e-9))
-    rem = span - n_full * grid.dt
-    if rem < 1e-12 * max(1.0, abs(grid.t_end)):
+    n_full = int(math.floor(grid.t_end / grid.dt + 1e-9))
+    rem = grid.t_end - n_full * grid.dt
+    if rem < 1e-12 * max(1.0, grid.t_end):
         rem = 0.0
     n_steps = n_full + (rem > 0.0)
     # snapshot after these steps: every stride-th, and the last one on t_end
     snaps = [0, *range(grid.sample_stride, n_steps, grid.sample_stride), n_steps]
-    times = grid.t_start + np.array(snaps) * grid.dt
+    times = np.array(snaps) * grid.dt
     times[-1] = grid.t_end
     # a state that blows up keeps stepping quietly; the snapshot check names it
     with np.errstate(all="ignore"):

@@ -9,7 +9,7 @@ import pytest
 
 from gaqb.chiral import ChiralProtocol, default_grid, run_transfer
 from gaqb.cli import RunConfig, run_sweep
-from gaqb.geometry import BRAIDED, NESTED, SEPARATED, CouplingLayout, CouplingParams, closed_form_params
+from gaqb.geometry import BRAIDED, NESTED, SEPARATED, CouplingParams, closed_form_params
 from gaqb.integrator import TimeGrid, evolve
 from gaqb.liouville import (
     _BASIS,
@@ -69,7 +69,12 @@ def chiral_forward():
 
 def spec_for(topo, theta, gamma=0.1):
     """Bidirectional spec of a topology at phase theta, closed-form coefficients."""
-    return LiouvillianSpec(closed_form_params(CouplingLayout(topo, theta, gamma)))
+    return LiouvillianSpec(closed_form_params(topo, theta, gamma))
+
+
+def states_of(traj):
+    """The (T,4,4) or (N,T,4,4) density matrices of a trajectory's snapshots."""
+    return density_matrices(traj.coordinates[..., :16])
 
 
 # the general coupling sums and the generator matrices: oracles the tests
@@ -85,7 +90,7 @@ COORDS = {
 }
 
 
-def positional_params(layout, coords=None):
+def positional_params(topology, theta, gamma, coords=None):
     """Coefficients from the general sums over connection-point pairs.
 
     Gamma_j    = gamma * sum_{n,m} cos(theta |x_jn - x_jm|)
@@ -94,13 +99,13 @@ def positional_params(layout, coords=None):
     g_ab       = gamma/2 * sum_{n,m} sin(theta |x_an - x_bm|)
 
     with n, m running over both connection points of each atom.  Valid for
-    any ``coords`` (x_a1, x_a2, x_b1, x_b2); by default the layout's entry
-    in :data:`COORDS`, where it reproduces :func:`closed_form_params`.
+    any ``coords`` (x_a1, x_a2, x_b1, x_b2); by default the topology's
+    entry in :data:`COORDS`, where it reproduces :func:`closed_form_params`.
     """
     if coords is None:
-        coords = COORDS[layout.topology]
-    th = layout.theta
-    g = layout.gamma
+        coords = COORDS[topology]
+    th = theta
+    g = gamma
     xa = coords[0:2]
     xb = coords[2:4]
 
@@ -149,7 +154,7 @@ def decoherence_free_phases(topology):
     phases = []
     for k in range(int(d_a)):
         theta = (2 * k + 1) * math.pi / d_a
-        p = closed_form_params(CouplingLayout(topology, theta, 1.0))
+        p = closed_form_params(topology, theta, 1.0)
         if p.Gamma_a + p.Gamma_b + abs(p.Gamma_coll) <= 1e-9 and abs(p.g_ab) > 1e-6:
             phases.append(theta)
     return phases
@@ -353,4 +358,4 @@ def richardson_order(final_state, dt):
 def convergence_order(spec, rho0, t_end, dt=0.1):
     """:func:`richardson_order` of evolve's fixed-step method up to ``t_end``."""
     return richardson_order(
-        lambda h: evolve(spec, rho0, TimeGrid(0.0, t_end, dt=h, sample_stride=10**9)).states[-1], dt)
+        lambda h: states_of(evolve(spec, rho0, TimeGrid(t_end, dt=h, sample_stride=10**9)))[-1], dt)

@@ -15,14 +15,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import charger_state, convergence_order, positional_params, spec_for
+from conftest import charger_state, convergence_order, positional_params, spec_for, states_of
 from gaqb.chiral import LEFT_TO_CHARGER, default_grid, run_transfer
 from gaqb.cli import _parabolic_peak, main
 from gaqb.geometry import (
     BRAIDED,
     NESTED,
     SEPARATED,
-    CouplingLayout,
     closed_form_params,
 )
 from gaqb.integrator import TimeGrid, evolve
@@ -38,7 +37,7 @@ def report(tag, ok, detail):
 def dense_records(topo, theta, gamma=0.1, tmax=100.0, dt=0.04):
     """Metric records after every step of one charging run from |eg>."""
     return compute_records(evolve(spec_for(topo, theta, gamma), projector("eg"),
-                                  TimeGrid(0.0, tmax, dt=dt)))
+                                  TimeGrid(tmax, dt=dt)))
 
 
 def refined_max(recs, field):
@@ -56,7 +55,7 @@ def test_c01_decoherence_free_charging_matches_rabi():
     traj = evolve(
         spec_for(BRAIDED, math.pi / 2),
         projector("eg"),
-        TimeGrid(0.0, 100.0, dt=0.005, sample_stride=50),
+        TimeGrid(100.0, dt=0.005, sample_stride=50),
     )
     recs = compute_records(traj)
     rabi_err = np.abs(recs.p_b - np.sin(0.1 * traj.times) ** 2).max()
@@ -134,7 +133,7 @@ def test_c05_separated_fluctuation_published_value(sweep):
     of 0.433.
     """
     res = sweep("separated")
-    params = [closed_form_params(CouplingLayout(SEPARATED, th, 0.1)) for th in res.thetas]
+    params = [closed_form_params(SEPARATED, th, 0.1) for th in res.thetas]
     identity_dev = max(abs(c.Gamma_coll ** 2 + 4.0 * c.g_ab ** 2 - c.Gamma_a ** 2)
                        for c in params)
     sigma_max = res.summary["max_sigma"]
@@ -156,10 +155,10 @@ def test_c06_separated_pi_frozen_dynamics():
     traj = evolve(
         spec_for(SEPARATED, math.pi),
         projector("eg"),
-        TimeGrid(0.0, 50.0, dt=0.005, sample_stride=500),
+        TimeGrid(50.0, dt=0.005, sample_stride=500),
     )
     recs = compute_records(traj)
-    frozen = all(np.array_equal(s, traj.states[0]) for s in traj.states)
+    frozen = all(np.array_equal(s, states_of(traj)[0]) for s in states_of(traj))
     metrics_zero = all((recs[f] == 0.0).all() for f in ("E", "ergotropy", "sigma", "power"))
     report("C6 separated theta=pi decoupled", frozen and metrics_zero,
            f"rho(t) == rho(0) bitwise: {frozen}; all metrics exactly zero: {metrics_zero}")
@@ -191,7 +190,7 @@ def test_c08_vanishing_toward_pi():
     for topo in (SEPARATED, NESTED):
         seqs = {"g": [], "Ga": [], "Gb": [], "Gc": []}
         for eps in params_eps:
-            p = closed_form_params(CouplingLayout(topo, math.pi - eps, 0.1))
+            p = closed_form_params(topo, math.pi - eps, 0.1)
             seqs["g"].append(abs(p.g_ab))
             seqs["Ga"].append(p.Gamma_a)
             seqs["Gb"].append(p.Gamma_b)
@@ -211,9 +210,8 @@ def test_c09_closed_vs_positional_oracle():
     worst = 0.0
     for topo in (BRAIDED, SEPARATED, NESTED):
         for th in np.linspace(0.0, 2 * math.pi, 1000, endpoint=False):
-            layout = CouplingLayout(topo, float(th), 1.0)
-            a = closed_form_params(layout)
-            b = positional_params(layout)
+            a = closed_form_params(topo, float(th), 1.0)
+            b = positional_params(topo, float(th), 1.0)
             worst = max(worst, max(
                 abs(getattr(a, f) - getattr(b, f))
                 for f in ("delta_a", "delta_b", "g_ab", "Gamma_a", "Gamma_b", "Gamma_coll")
@@ -225,7 +223,7 @@ def test_c09_closed_vs_positional_oracle():
 def test_c10_integrator_order_and_drift():
     order = convergence_order(spec_for(BRAIDED, math.pi / 2), projector("eg"), 20.0, dt=0.2)
     traj = evolve(spec_for(BRAIDED, 0.7), projector("eg"),
-                  TimeGrid(0.0, 100.0, dt=0.005, sample_stride=100))
+                  TimeGrid(100.0, dt=0.005, sample_stride=100))
     ok = order >= 3.7 and traj.max_trace_drift <= 1e-9
     report("C10 integrator order/drift", ok,
            f"empirical order = {order:.3f} (>=3.7), trace drift = {traj.max_trace_drift:.2e} (<=1e-9)")
@@ -239,7 +237,7 @@ def test_c11_chiral_transfer(chiral_forward):
     traj2, _ = run_transfer(p, rho0=mixed_b, grid=default_grid(p, dt=0.02))
     unidir = max(
         np.abs(charger_state(a) - charger_state(b)).max()
-        for a, b in zip(traj.states, traj2.states)
+        for a, b in zip(states_of(traj), states_of(traj2))
     )
     ok = (
         s.final_battery_energy >= 0.99

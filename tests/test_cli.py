@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import random_density, spec_for
-from gaqb import integrator
+from gaqb import cli, integrator
 from gaqb.cli import (
     _CHOICES,
     _COMMANDS,
@@ -332,7 +332,7 @@ def test_commands_build_no_complex_states(monkeypatch, tmp_path):
     # a state with coherence across the blocks still goes through them
     full_rank = random_density(np.random.default_rng(8))
     with pytest.raises(BuiltStates):
-        integrator.evolve(spec_for(NESTED, 1.1), full_rank, integrator.TimeGrid(0.0, 1.0, dt=0.02))
+        integrator.evolve(spec_for(NESTED, 1.1), full_rank, integrator.TimeGrid(1.0, dt=0.02))
 
 
 def test_out_into_missing_directory(tmp_path, capsys):
@@ -352,6 +352,21 @@ def test_broken_stdout_pipe(monkeypatch, capsys):
     assert sys.stdout.name == os.devnull
     sys.stdout.close()
     assert capsys.readouterr().err == "gaqb: error: cannot write stdout: Broken pipe\n"
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 521. MiB", "gaqb: error: out of memory: Unable to allocate 521. MiB\n"),
+    ("", "gaqb: error: out of memory\n"),
+])
+def test_out_of_memory_is_a_named_error(monkeypatch, capsys, message, line):
+    # a run that does not fit as configured exits 1, like the step budget
+    def run_sweep(cfg):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "run_sweep", run_sweep)
+    assert main(["sweep", "--theta-steps", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == line and captured.out == ""
 
 
 def test_exit_code_usage_errors(capsys):

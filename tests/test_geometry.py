@@ -8,7 +8,6 @@ from gaqb.geometry import (
     BRAIDED,
     NESTED,
     SEPARATED,
-    CouplingLayout,
     UnsupportedTopologyError,
     closed_form_params,
 )
@@ -22,7 +21,7 @@ def params_dev(a, b):
 
 
 def test_braided_decoherence_free_point():
-    p = closed_form_params(CouplingLayout(BRAIDED, math.pi / 2, 0.1))
+    p = closed_form_params(BRAIDED, math.pi / 2, 0.1)
     assert p.g_ab == pytest.approx(0.1, abs=1e-15)
     assert p.Gamma_a == 0.0 and p.Gamma_b == 0.0
     assert abs(p.Gamma_coll) < 1e-15
@@ -30,7 +29,7 @@ def test_braided_decoherence_free_point():
 
 
 def test_separated_pi_fully_decoupled():
-    p = closed_form_params(CouplingLayout(SEPARATED, math.pi, 0.37))
+    p = closed_form_params(SEPARATED, math.pi, 0.37)
     # the rate/coupling zeros are exact by the factored evaluation
     assert p.g_ab == 0.0
     assert p.Gamma_a == 0.0 and p.Gamma_b == 0.0 and p.Gamma_coll == 0.0
@@ -39,7 +38,7 @@ def test_separated_pi_fully_decoupled():
 
 def test_nested_pi_third_against_high_precision_oracle():
     # frozen from a 40-digit mpmath evaluation of the printed expressions
-    p = closed_form_params(CouplingLayout(NESTED, math.pi / 3, 0.1))
+    p = closed_form_params(NESTED, math.pi / 3, 0.1)
     assert abs(p.delta_a) < 1e-12
     assert p.delta_b == pytest.approx(0.086602540378443865, abs=1e-15)
     assert p.g_ab == pytest.approx(0.17320508075688773, abs=1e-15)
@@ -50,7 +49,7 @@ def test_nested_pi_third_against_high_precision_oracle():
 
 def test_separated_07_closed_vs_oracle():
     # frozen from a 40-digit mpmath evaluation of the printed expressions
-    p = closed_form_params(CouplingLayout(SEPARATED, 0.7, 0.1))
+    p = closed_form_params(SEPARATED, 0.7, 0.1)
     assert p.delta_a == pytest.approx(0.064421768723769105, abs=1e-15)
     assert p.g_ab == pytest.approx(0.17391632569317426, abs=1e-15)
     assert p.Gamma_a == pytest.approx(0.35296843745689769, abs=1e-15)
@@ -58,14 +57,12 @@ def test_separated_07_closed_vs_oracle():
 
 
 def test_closed_form_rejects_custom():
-    layout = CouplingLayout("custom", 0.3, 0.1)
     with pytest.raises(UnsupportedTopologyError, match="braided, nested, separated"):
-        closed_form_params(layout)
+        closed_form_params("custom", 0.3, 0.1)
 
 
 def test_positional_coincident_points():
-    layout = CouplingLayout("custom", 1.3, 0.25)
-    p = positional_params(layout, coords=(0.0, 0.0, 0.0, 0.0))
+    p = positional_params("custom", 1.3, 0.25, coords=(0.0, 0.0, 0.0, 0.0))
     assert p.Gamma_a == pytest.approx(4 * 0.25)
     assert p.Gamma_b == pytest.approx(4 * 0.25)
     assert p.Gamma_coll == pytest.approx(4 * 0.25)
@@ -76,23 +73,23 @@ def test_positional_coincident_points():
 def test_closed_vs_positional_equivalence(topo):
     worst = 0.0
     for th in np.linspace(0.0, 2 * math.pi, 1000, endpoint=False):
-        layout = CouplingLayout(topo, float(th), 1.0)
-        worst = max(worst, params_dev(closed_form_params(layout), positional_params(layout)))
+        args = (topo, float(th), 1.0)
+        worst = max(worst, params_dev(closed_form_params(*args), positional_params(*args)))
     assert worst <= 1e-12
 
 
 @pytest.mark.parametrize("topo", TOPOLOGIES)
 def test_periodicity(topo):
     for th in np.linspace(0.0, 2 * math.pi, 101):
-        a = closed_form_params(CouplingLayout(topo, float(th), 1.0))
-        b = closed_form_params(CouplingLayout(topo, float(th) + 2 * math.pi, 1.0))
+        a = closed_form_params(topo, float(th), 1.0)
+        b = closed_form_params(topo, float(th) + 2 * math.pi, 1.0)
         assert params_dev(a, b) <= 1e-12
 
 
 @pytest.mark.parametrize("topo", TOPOLOGIES)
 def test_decay_matrix_positive_semidefinite(topo):
     for th in np.linspace(0.0, 2 * math.pi, 1000, endpoint=False):
-        p = closed_form_params(CouplingLayout(topo, float(th), 1.0))
+        p = closed_form_params(topo, float(th), 1.0)
         assert p.Gamma_a >= 0.0 and p.Gamma_b >= 0.0
         m = np.array([[p.Gamma_a, p.Gamma_coll], [p.Gamma_coll, p.Gamma_b]])
         assert np.linalg.eigvalsh(m).min() >= -1e-12
@@ -101,7 +98,7 @@ def test_decay_matrix_positive_semidefinite(topo):
 
 @pytest.mark.parametrize("topo", (SEPARATED, NESTED))
 def test_all_zero_at_pi(topo):
-    p = closed_form_params(CouplingLayout(topo, math.pi, 1.0))
+    p = closed_form_params(topo, math.pi, 1.0)
     assert all(abs(getattr(p, f)) <= 1e-12 for f in FIELDS)
 
 
@@ -113,7 +110,7 @@ def test_decoherence_free_phases():
 
 
 def test_layout_validation():
-    with pytest.raises(ValueError):
-        CouplingLayout(BRAIDED, 0.1, -1.0)
-    with pytest.raises(ValueError):
-        CouplingLayout(BRAIDED, math.inf, 0.1)
+    with pytest.raises(ValueError, match=r"gamma must be finite and >= 0, got -1\.0"):
+        closed_form_params(BRAIDED, 0.1, -1.0)
+    with pytest.raises(ValueError, match="theta must be finite, got inf"):
+        closed_form_params(BRAIDED, math.inf, 0.1)

@@ -8,7 +8,7 @@ from conftest import (
 )
 from gaqb.chiral import ChiralProtocol, chiral_coupling_params, chiral_spec
 from gaqb.geometry import (
-    BRAIDED, NESTED, SEPARATED, CouplingLayout, CouplingParams, closed_form_params,
+    BRAIDED, NESTED, SEPARATED, CouplingParams, closed_form_params,
 )
 from gaqb.liouville import (
     _BASIS,
@@ -353,7 +353,7 @@ def test_validate_density_matrix_accepts_valid():
 
 
 def test_spec_validation():
-    p = closed_form_params(CouplingLayout(BRAIDED, 0.3, 0.1))
+    p = closed_form_params(BRAIDED, 0.3, 0.1)
     with pytest.raises(ValueError):
         LiouvillianSpec(p, dissipator_kind="sideways")
     with pytest.raises(ValueError):

@@ -15,8 +15,9 @@ from conftest import (
     partial_trace_battery,
     purity,
     random_density,
+    states_of,
 )
-from gaqb.geometry import BRAIDED, NESTED, SEPARATED, CouplingLayout, closed_form_params
+from gaqb.geometry import BRAIDED, NESTED, SEPARATED, closed_form_params
 from gaqb.integrator import TimeGrid, evolve
 from gaqb.liouville import LiouvillianSpec, ket, projector
 from gaqb.metrics import compute_records
@@ -130,10 +131,10 @@ def test_average_power():
 def test_records_single_excitation_runs_stay_diagonal():
     # Charging from |e_a g_b> never creates 0-1 coherence on the battery,
     # so the ergotropy reduces to max(0, 2 p - 1).
-    spec = LiouvillianSpec(closed_form_params(CouplingLayout(BRAIDED, 0.9, 0.1)))
-    traj = evolve(spec, projector("eg"), TimeGrid(0.0, 60.0, dt=0.02, sample_stride=60))
+    spec = LiouvillianSpec(closed_form_params(BRAIDED, 0.9, 0.1))
+    traj = evolve(spec, projector("eg"), TimeGrid(60.0, dt=0.02, sample_stride=60))
     recs = compute_records(traj)
-    for rho, rec in zip(traj.states, recs):
+    for rho, rec in zip(states_of(traj), recs):
         b = partial_trace_battery(rho)
         assert abs(b.c) <= 1e-10
         assert rec.ergotropy == pytest.approx(max(0.0, 2 * rec.p_b - 1.0), abs=1e-9)
@@ -142,8 +143,8 @@ def test_records_single_excitation_runs_stay_diagonal():
 
 
 def test_records_power_at_origin_is_zero():
-    spec = LiouvillianSpec(closed_form_params(CouplingLayout(BRAIDED, math.pi / 2, 0.1)))
-    traj = evolve(spec, projector("eg"), TimeGrid(0.0, 1.0, dt=0.01, sample_stride=100))
+    spec = LiouvillianSpec(closed_form_params(BRAIDED, math.pi / 2, 0.1))
+    traj = evolve(spec, projector("eg"), TimeGrid(1.0, dt=0.01, sample_stride=100))
     recs = compute_records(traj)
     assert recs[0].t == 0.0
     assert recs[0].power == 0.0 and recs[0].energy_power == 0.0
@@ -154,12 +155,12 @@ def test_metric_arrays_match_per_state_functions_bitwise():
     # per-state functions, for a single trajectory and for a batch of
     # cells; purity, a sum of squared real coordinates in place of the
     # complex trace(rho @ rho), agrees to 1e-15
-    specs = [LiouvillianSpec(closed_form_params(CouplingLayout(BRAIDED, th, 0.1)))
+    specs = [LiouvillianSpec(closed_form_params(BRAIDED, th, 0.1))
              for th in (0.4, math.pi / 2, 2.2)]
-    grid = TimeGrid(0.0, 30.0, dt=0.05, sample_stride=7)
+    grid = TimeGrid(30.0, dt=0.05, sample_stride=7)
     batch = evolve(specs, projector("eg"), grid)
     cells = compute_records(batch)
-    assert cells.shape == batch.states.shape[:2]
+    assert cells.shape == states_of(batch).shape[:2]
     fields = ("t", "E", "ergotropy", "sigma", "power", "energy_power", "p_a", "p_b", "purity")
     assert cells.dtype.names == fields
 
@@ -183,8 +184,8 @@ def test_metric_arrays_match_per_state_functions_bitwise():
 
     for i, spec in enumerate(specs):
         traj = evolve(spec, projector("eg"), grid)
-        check(compute_records(traj), per_state(traj.times, traj.states))
-        check(cells[i], per_state(batch.times, batch.states[i]))
+        check(compute_records(traj), per_state(traj.times, states_of(traj)))
+        check(cells[i], per_state(batch.times, states_of(batch)[i]))
 
 
 @pytest.mark.parametrize("topology", [BRAIDED, SEPARATED, NESTED], ids=["topology0", "topology1", "topology2"])
@@ -193,13 +194,13 @@ def test_closed_form_ergotropy_with_battery_coherence(topology):
     # has 0-1 coherence and the closed-form passive state differs from
     # min(a, p); it must still match the eigen path
     rng = np.random.default_rng(2024)  # own stream: leaves RNG's draws to other tests
-    grid = TimeGrid(0.0, 20.0, dt=0.05, sample_stride=8)
+    grid = TimeGrid(20.0, dt=0.05, sample_stride=8)
     for _ in range(3):
         rho0 = random_density(rng)
-        spec = LiouvillianSpec(closed_form_params(CouplingLayout(topology, rng.uniform(0.1, 3.0), 0.1)))
+        spec = LiouvillianSpec(closed_form_params(topology, rng.uniform(0.1, 3.0), 0.1))
         traj = evolve(spec, rho0, grid)
         recs = compute_records(traj)
-        states = traj.states
+        states = states_of(traj)
         coherence = [abs(partial_trace_battery(rho).c) for rho in states]
         assert min(coherence) > 1e-3
         erg = np.array([ergotropy(partial_trace_battery(rho)) for rho in states])

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from gaqb.geometry import BRAIDED, CouplingLayout, closed_form_params
+from gaqb.geometry import BRAIDED, closed_form_params
 from gaqb.integrator import TimeGrid
 from gaqb.liouville import LiouvillianSpec, projector
 
@@ -47,9 +47,9 @@ def test_evolve_takes_the_tracer_keywords(modname):
     # the tracer's evolve wrapper passes aux and aux0 by keyword, for a
     # single spec (charge, chiral) and a batch (sweep) alike
     evolve = importlib.import_module(modname).evolve
-    spec = LiouvillianSpec(closed_form_params(CouplingLayout(BRAIDED, 0.7, 0.1)))
+    spec = LiouvillianSpec(closed_form_params(BRAIDED, 0.7, 0.1))
     for specs in (spec, [spec]):
-        traj = evolve(specs, projector("eg"), TimeGrid(0.0, 0.1, dt=0.05), aux=None, aux0=0.0)
+        traj = evolve(specs, projector("eg"), TimeGrid(0.1, dt=0.05), aux=None, aux0=0.0)
         assert traj.step_count == 2
 
 
