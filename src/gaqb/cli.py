@@ -16,6 +16,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -37,6 +38,51 @@ SWEEP_METRICS = ("E", "ergotropy", "sigma", "power", "energy_power")
 class ConfigError(Exception):
     """Bad flags, bad config file, or invalid run parameters."""
 
+
+# ---------------------------------------------------------------------------
+# output formatting
+
+_CSV_BLOCK = 256  # CSV rows formatted by one % operation
+
+
+def write_csv(stream, header, rows, summary: Optional[dict] = None):
+    stream.write(",".join(header) + "\n")
+    row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
+    rows = np.asarray(rows, dtype=float)
+    for start in range(0, len(rows), _CSV_BLOCK):  # as Python floats, which format fastest
+        block = rows[start:start + _CSV_BLOCK]
+        stream.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+    for key, value in (summary or {}).items():
+        stream.write(f"# {key} = {format(value, '.17g') if isinstance(value, float) else value}\n")
+
+
+def write_json(stream, header, rows, summary: Optional[dict] = None):
+    records = [dict(zip(header, (float(v) for v in row))) for row in rows]
+    payload = {"records": records}
+    if summary is not None:
+        payload["summary"] = summary
+    json.dump(payload, stream, indent=1)
+    stream.write("\n")
+
+
+_WRITERS = {"csv": write_csv, "json": write_json}
+
+
+def _emit(cfg: RunConfig, header, rows, summary: Optional[dict] = None):
+    """Write the rows straight to stdout or to the --out file."""
+    try:
+        with (contextlib.nullcontext(sys.stdout) if cfg.out is None
+              else open(cfg.out, "w", encoding="utf-8", newline="\n")) as stream:
+            _WRITERS[cfg.format](stream, header, rows, summary)
+            stream.flush()
+    except OSError as exc:  # e.g. a closed pipe or a missing directory
+        if cfg.out is None:  # the interpreter's final flush of stdout must not fail again
+            sys.stdout = open(os.devnull, "w", encoding="utf-8")
+        raise ConfigError(f"cannot write {'stdout' if cfg.out is None else cfg.out}: {exc.strerror or exc}")
+
+
+# ---------------------------------------------------------------------------
+# configuration
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -66,12 +112,11 @@ _FIELD_TYPES = get_type_hints(RunConfig)
 # the values a string field may take, as flag choices and in config files
 _CHOICES = {
     "topology": BUILTIN_TOPOLOGIES,
-    "format": ("csv", "json"),
+    "format": tuple(_WRITERS),
     "direction": (RIGHT_TO_BATTERY, LEFT_TO_CHARGER),
 }
 _NUMBER_KINDS = {int: "an integer", float: "a number"}
 _THETA_LIMIT = sys.float_info.max / 3.0  # the coefficients take sin and cos of up to 3 theta
-_CSV_BLOCK = 256  # CSV rows formatted by one % operation
 
 
 def _parse_value(key: str, raw: str, where: str):
@@ -150,61 +195,6 @@ def merge_config(file_path: Optional[str], overrides: dict) -> tuple[RunConfig, 
     values = read_config_file(file_path) if file_path else {}
     values.update({k: v for k, v in overrides.items() if v is not None})
     return validate_config(replace(RunConfig(), **values)), set(values)
-
-
-# ---------------------------------------------------------------------------
-# output formatting
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
-def write_csv(stream, header, rows, summary_lines=()):
-    stream.write(",".join(header) + "\n")
-    row_fmt = ",".join(["%.17g"] * len(header)) + "\n"  # _fmt's format
-    rows = np.asarray(rows, dtype=float)
-    for start in range(0, len(rows), _CSV_BLOCK):  # as Python floats, which format fastest
-        block = rows[start:start + _CSV_BLOCK]
-        stream.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
-    for line in summary_lines:
-        stream.write("# " + line + "\n")
-
-
-def write_json(stream, header, rows, summary: Optional[dict] = None):
-    records = [dict(zip(header, (float(v) for v in row))) for row in rows]
-    payload = {"records": records}
-    if summary is not None:
-        payload["summary"] = summary
-    json.dump(payload, stream, indent=1)
-    stream.write("\n")
-
-
-def _emit(cfg: RunConfig, header, rows, summary: Optional[dict] = None):
-    """Write the rows straight to stdout or to the --out file."""
-
-    def write(stream):
-        if cfg.format == "csv":
-            lines = []
-            if summary:
-                lines = [f"{k} = {_fmt(v) if isinstance(v, float) else v}" for k, v in summary.items()]
-            write_csv(stream, header, rows, lines)
-        else:
-            write_json(stream, header, rows, summary)
-
-    if cfg.out is None:
-        try:
-            write(sys.stdout)
-            sys.stdout.flush()
-        except OSError as exc:  # e.g. a closed pipe
-            # the interpreter's final flush of stdout must not fail again
-            sys.stdout = open(os.devnull, "w", encoding="utf-8")
-            raise ConfigError(f"cannot write stdout: {exc.strerror or exc}")
-        return
-    try:
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-            write(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {cfg.out}: {exc.strerror or exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -413,11 +403,9 @@ def main(argv=None) -> int:
         overrides = {k: v for k, v in vars(ns).items() if k not in ("command", "config")}
         cfg, explicit = merge_config(ns.config, overrides)
         if ns.command == "params":
-            header, rows = run_params(cfg)
-            _emit(cfg, header, rows)
+            _emit(cfg, *run_params(cfg))
         elif ns.command == "charge":
-            header, rows = run_charge(cfg)
-            _emit(cfg, header, rows)
+            _emit(cfg, *run_charge(cfg))
         elif ns.command == "sweep":
             result = run_sweep(cfg)
             columns = ("t", *(m.strip() for m in cfg.metrics.split(",")))
@@ -427,8 +415,7 @@ def main(argv=None) -> int:
             header = ("theta", *columns)
             _emit(cfg, header, rows, result.summary)
         else:
-            header, rows, summary = run_chiral(cfg, explicit)
-            _emit(cfg, header, rows, summary)
+            _emit(cfg, *run_chiral(cfg, explicit))
         return 0
     except ConfigError as exc:
         print(f"gaqb: error: {exc}", file=sys.stderr)

@@ -64,8 +64,8 @@ class TimeGrid:
             raise ValueError("time window must be finite")
         if not self.t_end > 0.0:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if not isinstance(self.sample_stride, numbers.Integral):
             raise ValueError(f"sample_stride must be an integer, got {self.sample_stride!r}")
         if self.sample_stride < 1:

@@ -27,7 +27,6 @@ from gaqb.cli import (
     run_sweep,
     validate_config,
     write_csv,
-    _fmt,
     _parabolic_peak,
     _sweep_cell,
 )
@@ -221,8 +220,8 @@ def test_write_csv_matches_per_value_format():
     params_rows = [(r[0], *r[1:].tolist()) for r in table]
     for rows in (table, [tuple(r) for r in table.tolist()], params_rows):
         out = io.StringIO()
-        write_csv(out, ("a", "b", "c", "d", "e", "f"), rows, ["k = v"])
-        want = "".join(",".join(_fmt(v) for v in row) + "\n" for row in table)
+        write_csv(out, ("a", "b", "c", "d", "e", "f"), rows, {"k": "v"})
+        want = "".join(",".join(format(float(v), ".17g") for v in row) + "\n" for row in table)
         assert out.getvalue() == "a,b,c,d,e,f\n" + want + "# k = v\n"
     # rows are formatted a block at a time: two full blocks and a partial one
     out = io.StringIO()
@@ -274,6 +273,23 @@ def test_json_format(tmp_path):
     assert payload["summary"]["leakage"] <= 0.01
     rec = payload["records"][-1]
     assert set(rec) == set(CHARGE_HEADER) | {"leakage"}
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--theta-steps", "5", "--tmax", "2", "--dt", "0.04"],
+    ["chiral", "--tau-scaled", "2", "--dt", "0.05"],
+])
+def test_csv_and_json_carry_the_same_numbers(tmp_path, args):
+    csv_path, json_path = tmp_path / "run.csv", tmp_path / "run.json"
+    assert main(args + ["--out", str(csv_path)]) == 0
+    assert main(args + ["--format", "json", "--out", str(json_path)]) == 0
+    payload = json.loads(json_path.read_text())
+    lines = csv_path.read_text().splitlines()
+    table = [line.split(",") for line in lines if not line.startswith("#")]
+    summary = dict(line[2:].split(" = ") for line in lines if line.startswith("#"))
+    assert [list(rec) for rec in payload["records"]] == [table[0]] * len(payload["records"])
+    assert [[float(v) for v in row] for row in table[1:]] == [list(rec.values()) for rec in payload["records"]]
+    assert {k: float(v) for k, v in summary.items()} == payload["summary"]
 
 
 def test_chiral_command_csv(tmp_path):
@@ -339,6 +355,12 @@ def test_out_into_missing_directory(tmp_path, capsys):
     path = tmp_path / "absent" / "x.csv"
     assert main(["params", "--theta-steps", "3", "--out", str(path)]) == 1
     assert f"gaqb: error: cannot write {path}: " in capsys.readouterr().err
+
+
+def test_empty_out_is_a_file_name(capsys):
+    # "" names no file; it does not mean stdout
+    assert main(["charge", "--tmax", "1", "--out", ""]) == 1
+    assert capsys.readouterr() == ("", "gaqb: error: cannot write : No such file or directory\n")
 
 
 def test_broken_stdout_pipe(monkeypatch, capsys):

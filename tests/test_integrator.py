@@ -592,6 +592,9 @@ def test_grid_validation():
         TimeGrid(1.0, dt=1e-300)
     with pytest.raises(ValueError):
         TimeGrid(1.0, dt=-0.1)
+    # an infinite step would take none and stamp the first snapshot 0 * inf
+    with pytest.raises(ValueError, match="dt must be finite and positive, got inf"):
+        TimeGrid(1.0, dt=math.inf)
     with pytest.raises(ValueError):
         TimeGrid(1.0, dt=0.1, sample_stride=0)
 
