@@ -27,7 +27,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .geometry import CouplingParams
+from .geometry import THETA_LIMIT, CouplingParams
 from .integrator import DEFAULT_DT, ChargingTrajectory, TimeGrid, evolve
 from .liouville import (
     CASCADED_LEFT,
@@ -58,6 +58,8 @@ class ChiralProtocol:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta}")
+        if abs(self.theta) > THETA_LIMIT:
+            raise ValueError(f"|theta| must be at most {THETA_LIMIT:.6g}, got {self.theta:g}")
         if abs(math.sin(self.theta)) < 1e-12:
             raise ValueError("sin(theta) = 0 decouples both atoms; pick another phase")
         if self.direction not in (RIGHT_TO_BATTERY, LEFT_TO_CHARGER):

@@ -27,7 +27,7 @@ from typing import Optional, get_type_hints
 import numpy as np
 
 from .chiral import LEFT_TO_CHARGER, RIGHT_TO_BATTERY, ChiralProtocol, default_stride, run_transfer
-from .geometry import BUILTIN_TOPOLOGIES, closed_form_params
+from .geometry import BUILTIN_TOPOLOGIES, THETA_LIMIT, closed_form_params
 from .integrator import DEFAULT_DT, MAX_STEPS, TimeGrid, evolve
 from .liouville import LiouvillianSpec, SimulationError, projector
 from .metrics import compute_records
@@ -35,8 +35,8 @@ from .metrics import compute_records
 SWEEP_METRICS = ("E", "ergotropy", "sigma", "power", "energy_power")
 
 
-class ConfigError(Exception):
-    """Bad flags, bad config file, or invalid run parameters."""
+class ConfigError(ValueError):
+    """Bad flags, bad config file, or invalid run parameters; main reports every ValueError as one."""
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +116,6 @@ _CHOICES = {
     "direction": (RIGHT_TO_BATTERY, LEFT_TO_CHARGER),
 }
 _NUMBER_KINDS = {int: "an integer", float: "a number"}
-_THETA_LIMIT = sys.float_info.max / 3.0  # the coefficients take sin and cos of up to 3 theta
 
 
 def _parse_value(key: str, raw: str, where: str):
@@ -158,18 +157,14 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         if kind is float and not math.isfinite(getattr(cfg, name)):
             raise ConfigError(f"{name} must be finite")
     for name in ("theta", "theta_min", "theta_max"):
-        if abs(getattr(cfg, name)) > _THETA_LIMIT:
-            raise ConfigError(f"|{name}| must be at most {_THETA_LIMIT:.6g}, got {getattr(cfg, name):g}")
+        if abs(getattr(cfg, name)) > THETA_LIMIT:
+            raise ConfigError(f"|{name}| must be at most {THETA_LIMIT:.6g}, got {getattr(cfg, name):g}")
     if cfg.gamma < 0:
         raise ConfigError("gamma must be >= 0")
     if cfg.tmax <= 0 or cfg.dt <= 0:
         raise ConfigError("tmax and dt must be positive")
     if cfg.sample_stride < 1:
         raise ConfigError("sample_stride must be >= 1")
-    try:
-        TimeGrid(cfg.tmax, dt=cfg.dt)  # the step budget
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     if not 2 <= cfg.theta_steps <= MAX_STEPS:
         raise ConfigError(f"theta_steps must be in [2, {MAX_STEPS}], got {cfg.theta_steps}")
     if not cfg.theta_min < cfg.theta_max:
@@ -291,6 +286,7 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
     that is 0 everywhere (ergotropy and power in the nested layout)
     reports ``theta_min``.
     """
+    TimeGrid(cfg.tmax, dt=cfg.dt)  # the step budget, before the theta grid is allocated
     thetas = _theta_grid(cfg)
     cells = _sweep_cell(cfg, thetas.tolist(), cfg.sample_stride)
 
@@ -319,14 +315,11 @@ def run_chiral(cfg: RunConfig, explicit=()):
     Only an explicit window or stride replaces the protocol's defaults
     (3 tau and about 600 snapshots at the step the run takes).
     """
-    try:
-        protocol = ChiralProtocol(gamma_max=cfg.gamma_max, tau=cfg.tau_scaled / cfg.gamma_max,
-                                  theta=cfg.theta, direction=cfg.direction)
-        grid = TimeGrid(cfg.tmax if "tmax" in explicit else 3.0 * protocol.tau, dt=cfg.dt)
-        stride = cfg.sample_stride if "sample_stride" in explicit else default_stride(protocol, grid)
-        traj, s = run_transfer(protocol, grid=replace(grid, sample_stride=stride))
-    except ValueError as exc:  # a decoupling theta or a window over the step budget
-        raise ConfigError(str(exc)) from exc
+    protocol = ChiralProtocol(gamma_max=cfg.gamma_max, tau=cfg.tau_scaled / cfg.gamma_max,
+                              theta=cfg.theta, direction=cfg.direction)
+    grid = TimeGrid(cfg.tmax if "tmax" in explicit else 3.0 * protocol.tau, dt=cfg.dt)
+    stride = cfg.sample_stride if "sample_stride" in explicit else default_stride(protocol, grid)
+    traj, s = run_transfer(protocol, grid=replace(grid, sample_stride=stride))
     recs = compute_records(traj)
     rows = np.column_stack([*(recs[name] for name in CHARGE_HEADER), traj.aux])
     return CHARGE_HEADER + ("leakage",), rows, asdict(s)
@@ -417,7 +410,7 @@ def main(argv=None) -> int:
         else:
             _emit(cfg, *run_chiral(cfg, explicit))
         return 0
-    except ConfigError as exc:
+    except ValueError as exc:  # a ConfigError, or a library check on the run the config asks for
         print(f"gaqb: error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # the run does not fit as configured, like the step budget

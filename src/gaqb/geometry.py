@@ -13,6 +13,7 @@ frequency; ``theta`` is in radians and every derived quantity is
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 
@@ -22,6 +23,7 @@ class UnsupportedTopologyError(ValueError):
 
 # a layout is its name; the paper's three are the ones with closed forms
 BRAIDED, NESTED, SEPARATED = BUILTIN_TOPOLOGIES = ("braided", "nested", "separated")
+THETA_LIMIT = sys.float_info.max / 3.0  # the coefficients take sin and cos of up to 3 theta
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,8 @@ def closed_form_params(topology: str, theta: float, gamma: float) -> CouplingPar
     """
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
+    if abs(theta) > THETA_LIMIT:
+        raise ValueError(f"|theta| must be at most {THETA_LIMIT:.6g}, got {theta:g}")
     if not (math.isfinite(gamma) and gamma >= 0.0):
         raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
     th, g = theta, gamma

@@ -38,14 +38,13 @@ def compute_records(traj: ChargingTrajectory) -> np.recarray:
     erg = np.where(value > 0.0, value, 0.0)
     var = p - p * p
     std = np.sqrt(np.where(var > 0.0, var, 0.0))
-    elapsed = times - traj.times[0]
     fields = {
         "t": times,
         "E": p,
         "ergotropy": erg,
         "sigma": std - std[..., :1],
-        "power": np.divide(erg, elapsed, out=np.zeros_like(p), where=elapsed != 0.0),
-        "energy_power": np.divide(p, elapsed, out=np.zeros_like(p), where=elapsed > 0.0),
+        "power": np.divide(erg, times, out=np.zeros_like(p), where=times > 0.0),
+        "energy_power": np.divide(p, times, out=np.zeros_like(p), where=times > 0.0),
         "p_a": x[..., 2] + x[..., 3],
         "p_b": p,
         "purity": (x[..., :4] ** 2).sum(axis=-1) + 2.0 * (x[..., 4:16] ** 2).sum(axis=-1),

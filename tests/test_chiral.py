@@ -130,6 +130,9 @@ def test_protocol_validation():
         ChiralProtocol(gamma_max=1.0, tau=1.0, theta=math.pi)  # sin(theta) = 0
     with pytest.raises(ValueError):
         ChiralProtocol(gamma_max=1.0, tau=1.0, direction="up")
+    # sin(2 theta) would overflow to a bare math domain error in the march
+    with pytest.raises(ValueError, match=r"\|theta\| must be at most 5\.99231e\+307, got 1e\+308"):
+        ChiralProtocol(0.1, 10.0, theta=1e308)
 
 
 @pytest.mark.parametrize("field, value", [("theta", math.nan), ("theta", math.inf),

@@ -159,8 +159,6 @@ def test_validation_errors():
         merge_config(None, {"metrics": "E,entropy"})
     with pytest.raises(ConfigError):
         merge_config(None, {"metrics": "E, E"})
-    with pytest.raises(ConfigError, match="dt = 1e-300 needs 1e\\+300 steps"):
-        merge_config(None, {"tmax": 1.0, "dt": 1e-300})
     with pytest.raises(ConfigError, match="theta_min must be below theta_max"):
         merge_config(None, {"theta_min": 1.0, "theta_max": 0.0})
     # rejected before the theta grid is allocated
@@ -389,6 +387,35 @@ def test_out_of_memory_is_a_named_error(monkeypatch, capsys, message, line):
     assert main(["sweep", "--theta-steps", "3"]) == 1
     captured = capsys.readouterr()
     assert captured.err == line and captured.out == ""
+
+
+def test_step_budget_is_checked_on_the_window_each_command_runs(tmp_path, capsys):
+    for command in ("charge", "sweep"):
+        assert main([command, "--tmax", "1", "--dt", "1e-300"]) == 1
+        assert "gaqb: error: dt = 1e-300 needs 1e+300 steps" in capsys.readouterr().err
+    # chiral runs [0, 3 tau], not [0, tmax]: 150,000 steps over [0, 0.3]
+    out = tmp_path / "chiral.csv"
+    assert main(["chiral", "--gamma-max", "10", "--tau-scaled", "1", "--dt", "2e-6",
+                 "--stride", "100000", "--out", str(out)]) == 0
+    assert sum(1 for l in out.read_text().splitlines()[1:] if not l.startswith("#")) == 3
+    assert main(["chiral", "--dt", "1e-6"]) == 1
+    assert capsys.readouterr().err == (
+        "gaqb: error: dt = 1e-06 needs 3e+08 steps over [0, 300]; at most 10000000 are allowed\n")
+    # params runs no window, so no budget applies to it
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("tmax = 1\ndt = 1e-300\n", encoding="utf-8")
+    assert main(["params", "--config", str(cfg_file), "--theta-steps", "3"]) == 0
+    assert capsys.readouterr().out.count("\n") == 4
+
+
+def test_sweep_checks_its_budget_before_the_theta_grid(monkeypatch, capsys):
+    # 10^7 thetas would take about 0.5 GB before the window is refused
+    def theta_grid(cfg):
+        raise AssertionError("theta grid built before the step budget was checked")
+
+    monkeypatch.setattr(cli, "_theta_grid", theta_grid)
+    assert main(["sweep", "--theta-steps", "10000000", "--dt", "1e-9"]) == 1
+    assert "gaqb: error: dt = 1e-09 needs 1e+11 steps over [0, 100]" in capsys.readouterr().err
 
 
 def test_exit_code_usage_errors(capsys):

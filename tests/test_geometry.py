@@ -114,3 +114,6 @@ def test_layout_validation():
         closed_form_params(BRAIDED, 0.1, -1.0)
     with pytest.raises(ValueError, match="theta must be finite, got inf"):
         closed_form_params(BRAIDED, math.inf, 0.1)
+    # sin(3 theta) would overflow to a bare math domain error
+    with pytest.raises(ValueError, match=r"\|theta\| must be at most 5\.99231e\+307, got 1e\+308"):
+        closed_form_params(BRAIDED, 1e308, 0.1)
