@@ -27,7 +27,7 @@ from typing import Optional, get_type_hints
 import numpy as np
 
 from .chiral import LEFT_TO_CHARGER, RIGHT_TO_BATTERY, ChiralProtocol, default_stride, run_transfer
-from .geometry import BUILTIN_TOPOLOGIES, THETA_LIMIT, closed_form_params
+from .geometry import BUILTIN_TOPOLOGIES, check_theta, closed_form_params
 from .integrator import DEFAULT_DT, MAX_STEPS, TimeGrid, evolve
 from .liouville import LiouvillianSpec, SimulationError, projector
 from .metrics import compute_records
@@ -157,8 +157,7 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         if kind is float and not math.isfinite(getattr(cfg, name)):
             raise ConfigError(f"{name} must be finite")
     for name in ("theta", "theta_min", "theta_max"):
-        if abs(getattr(cfg, name)) > THETA_LIMIT:
-            raise ConfigError(f"|{name}| must be at most {THETA_LIMIT:.6g}, got {getattr(cfg, name):g}")
+        check_theta(getattr(cfg, name), name)
     if cfg.gamma < 0:
         raise ConfigError("gamma must be >= 0")
     if cfg.tmax <= 0 or cfg.dt <= 0:
@@ -171,8 +170,8 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"theta_min must be below theta_max, got [{cfg.theta_min}, {cfg.theta_max}]")
     if cfg.workers < 0:
         raise ConfigError("workers must be >= 0")
-    if cfg.gamma_max <= 0 or cfg.tau_scaled <= 0:
-        raise ConfigError("gamma_max and tau_scaled must be positive")
+    if not (cfg.gamma_max > 0 and 0 < cfg.tau_scaled / cfg.gamma_max < math.inf):
+        raise ConfigError("gamma_max and tau_scaled must be positive, with tau_scaled / gamma_max finite and nonzero")
     chosen = [m.strip() for m in cfg.metrics.split(",")]
     unknown = [m for m in chosen if m not in SWEEP_METRICS]
     if unknown:

@@ -43,6 +43,14 @@ class CouplingParams:
     Gamma_coll: float
 
 
+def check_theta(theta: float, name: str = "theta") -> None:
+    """Refuse a phase ``name`` that is not finite or whose sin(3 theta) would overflow."""
+    if not math.isfinite(theta):
+        raise ValueError(f"{name} must be finite, got {theta}")
+    if abs(theta) > THETA_LIMIT:
+        raise ValueError(f"|{name}| must be at most {THETA_LIMIT:.6g}, got {theta:g}")
+
+
 def closed_form_params(topology: str, theta: float, gamma: float) -> CouplingParams:
     """Evaluate the per-topology closed-form coefficients.
 
@@ -52,10 +60,7 @@ def closed_form_params(topology: str, theta: float, gamma: float) -> CouplingPar
     floating point, not merely ~1e-16.  Only the built-in topologies
     (braided, nested, separated) have closed forms.
     """
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
-    if abs(theta) > THETA_LIMIT:
-        raise ValueError(f"|theta| must be at most {THETA_LIMIT:.6g}, got {theta:g}")
+    check_theta(theta)
     if not (math.isfinite(gamma) and gamma >= 0.0):
         raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
     th, g = theta, gamma

@@ -14,6 +14,7 @@ from gaqb.chiral import (
     pitch_catch_rates,
     rate_profile,
     run_transfer,
+    transfer_step,
 )
 from gaqb.geometry import CouplingParams
 from gaqb.integrator import TimeGrid, evolve
@@ -136,7 +137,8 @@ def test_protocol_validation():
 
 
 @pytest.mark.parametrize("field, value", [("theta", math.nan), ("theta", math.inf),
-                                          ("gamma_max", math.inf)])
+                                          ("gamma_max", math.inf), ("tau", math.inf),
+                                          ("tau", math.nan)])
 def test_protocol_rejects_non_finite(field, value):
     # each would otherwise end the run in a non-finite state or a bare
     # math domain error
@@ -331,6 +333,17 @@ def test_kink_at_tau_lands_on_a_step():
     gaps = np.diff(run(0.0937).times)
     assert gaps[:-1] == pytest.approx(stride * step, rel=1e-12)
     assert 0.0 < gaps[-1] <= stride * step * (1 + 1e-12)
+
+
+def test_transfer_step_exceeds_dt_by_at_most_the_slack():
+    # evolve's 1e-9 slack keeps 100 / 0.02 at 5,000 steps, so a step may
+    # run over dt by up to that factor, as at tau = 10.000000001, dt = 1
+    for tau in (1e-3, 2.0, 10.0, 10.000000001, 100.0):
+        for dt in (0.005, 0.02, 0.03, 0.0937, 1.0):
+            step = transfer_step(replace(PROTO, tau=tau), TimeGrid(3.0 * tau, dt=dt))
+            assert step <= dt * (1 + 1e-9), (tau, dt)
+    assert transfer_step(replace(PROTO, tau=100.0), TimeGrid(300.0, dt=0.02)) == 100.0 / 5000
+    assert transfer_step(replace(PROTO, tau=10.000000001), TimeGrid(30.0, dt=1.0)) == 1.0000000001
 
 
 def test_too_fast_protocol_degrades():

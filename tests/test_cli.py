@@ -168,9 +168,12 @@ def test_validation_errors():
         merge_config(None, {"gamma": -1.0})
     with pytest.raises(ConfigError, match="sample_stride must be >= 1"):
         merge_config(None, {"sample_stride": 0})
-    for key in ("gamma_max", "tau_scaled"):
+    # tau = tau_scaled / gamma_max must neither overflow to inf nor underflow to 0
+    for overrides in ({"gamma_max": 0.0}, {"tau_scaled": 0.0},
+                      {"tau_scaled": 1e308, "gamma_max": 1e-300},
+                      {"tau_scaled": 1e-300, "gamma_max": 1e300}):
         with pytest.raises(ConfigError, match="gamma_max and tau_scaled must be positive"):
-            merge_config(None, {key: 0.0})
+            merge_config(None, overrides)
 
 
 # --- commands end to end -----------------------------------------------------
@@ -428,6 +431,11 @@ def test_exit_code_usage_errors(capsys):
     # same step budget
     assert main(["chiral", "--tau-scaled", "1e9", "--dt", "0.01"]) == 1
     assert "gaqb: error: dt = 0.01 needs 3e+12 steps" in capsys.readouterr().err
+    # tau = tau_scaled / gamma_max overflows to inf or underflows to 0: the
+    # error names the ratio, not the window or the protocol it would break
+    for tau_scaled, gamma_max in (("1e308", "1e-300"), ("1e-300", "1e300")):
+        assert main(["chiral", "--tau-scaled", tau_scaled, "--gamma-max", gamma_max]) == 1
+        assert "tau_scaled / gamma_max" in capsys.readouterr().err
     # a tau shorter than dt shrinks chiral's step to tau, which puts this
     # window over the budget before any step is taken
     assert main(["chiral", "--gamma-max", "1", "--tau-scaled", "1e-6", "--dt", "0.01",
