@@ -148,15 +148,21 @@ def transfer_step(p: ChiralProtocol, grid: TimeGrid) -> float:
     return edge / n
 
 
-def default_stride(p: ChiralProtocol, grid: TimeGrid) -> int:
-    """Snapshot stride giving about 600 snapshots over ``grid`` at :func:`transfer_step`."""
-    return max(1, round(grid.t_end / transfer_step(p, grid) / 600))
+def default_grid(p: ChiralProtocol, dt: float = DEFAULT_DT, t_end: Optional[float] = None,
+                 sample_stride: Optional[int] = None) -> TimeGrid:
+    """The grid a run of ``p`` takes: the one home of a chiral run's window and stride.
 
-
-def default_grid(p: ChiralProtocol, dt: float = DEFAULT_DT) -> TimeGrid:
-    """Window [0, 3 tau] with the stride of :func:`default_stride`."""
-    grid = TimeGrid(3.0 * p.tau, dt=dt)
-    return replace(grid, sample_stride=default_stride(p, grid))
+    In this order: the window [0, t_end], by default [0, 3 tau]; the step of
+    :func:`transfer_step`; :class:`TimeGrid`'s step budget at that step; and
+    only then the stride, by default about 600 snapshots at that step.
+    """
+    if t_end is None and not math.isfinite(3.0 * p.tau):
+        raise ValueError(f"the window [0, 3 tau] is not finite at tau = tau_scaled / gamma_max = {p.tau:g}")
+    grid = TimeGrid(3.0 * p.tau if t_end is None else t_end, dt=dt)
+    step = transfer_step(p, grid)
+    replace(grid, dt=step)  # the budget of the step the run takes
+    stride = max(1, round(grid.t_end / step / 600)) if sample_stride is None else sample_stride
+    return replace(grid, sample_stride=stride)
 
 
 def run_transfer(

@@ -26,7 +26,7 @@ from typing import Optional, get_type_hints
 
 import numpy as np
 
-from .chiral import LEFT_TO_CHARGER, RIGHT_TO_BATTERY, ChiralProtocol, default_stride, run_transfer
+from .chiral import LEFT_TO_CHARGER, RIGHT_TO_BATTERY, ChiralProtocol, default_grid, run_transfer
 from .geometry import BUILTIN_TOPOLOGIES, check_theta, closed_form_params
 from .integrator import DEFAULT_DT, MAX_STEPS, TimeGrid, evolve
 from .liouville import LiouvillianSpec, SimulationError, projector
@@ -227,8 +227,8 @@ def run_charge(cfg: RunConfig):
     return CHARGE_HEADER, np.column_stack([recs[name] for name in CHARGE_HEADER])
 
 
-def _sweep_cell(cfg: RunConfig, thetas, stride: int) -> np.recarray:
-    """Metric records of theta cells, integrated as one batch.
+def _sweep_cell(cfg: RunConfig, thetas, grid: TimeGrid) -> np.recarray:
+    """Metric records of theta cells, integrated as one batch on ``grid``.
 
     Returns the (N,T) record array of :func:`compute_records`, a row per
     cell and a field per metric (``cells.E[i]`` is cell i's battery
@@ -236,7 +236,6 @@ def _sweep_cell(cfg: RunConfig, thetas, stride: int) -> np.recarray:
     any batch.
     """
     specs = [LiouvillianSpec(closed_form_params(cfg.topology, th, cfg.gamma)) for th in thetas]
-    grid = TimeGrid(cfg.tmax, dt=cfg.dt, sample_stride=stride)
     try:
         traj = evolve(specs, projector("eg"), grid)
     except SimulationError as exc:
@@ -285,14 +284,14 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
     that is 0 everywhere (ergotropy and power in the nested layout)
     reports ``theta_min``.
     """
-    TimeGrid(cfg.tmax, dt=cfg.dt)  # the step budget, before the theta grid is allocated
+    grid = TimeGrid(cfg.tmax, dt=cfg.dt, sample_stride=cfg.sample_stride)  # its budget, before the theta grid
     thetas = _theta_grid(cfg)
-    cells = _sweep_cell(cfg, thetas.tolist(), cfg.sample_stride)
+    cells = _sweep_cell(cfg, thetas.tolist(), grid)
 
     # np.argmax takes the first of equal maxima
     best = {name: float(thetas[np.argmax(cells[name].max(axis=1))]) for name in SWEEP_METRICS}
     reruns = tuple(dict.fromkeys(best.values()))
-    dense = dict(zip(reruns, _sweep_cell(cfg, reruns, 1)))
+    dense = dict(zip(reruns, _sweep_cell(cfg, reruns, replace(grid, sample_stride=1))))
     summary: dict = {}
     for name in SWEEP_METRICS:
         cell = dense[best[name]]
@@ -311,14 +310,13 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
 def run_chiral(cfg: RunConfig, explicit=()):
     """Pitch-catch run; ``explicit`` names the keys set by flag or config file.
 
-    Only an explicit window or stride replaces the protocol's defaults
-    (3 tau and about 600 snapshots at the step the run takes).
+    :func:`default_grid` builds the grid at ``dt``; ``tmax`` and ``sample_stride``
+    replace its 3 tau window and ~600-snapshot stride only where explicit.
     """
     protocol = ChiralProtocol(gamma_max=cfg.gamma_max, tau=cfg.tau_scaled / cfg.gamma_max,
                               theta=cfg.theta, direction=cfg.direction)
-    grid = TimeGrid(cfg.tmax if "tmax" in explicit else 3.0 * protocol.tau, dt=cfg.dt)
-    stride = cfg.sample_stride if "sample_stride" in explicit else default_stride(protocol, grid)
-    traj, s = run_transfer(protocol, grid=replace(grid, sample_stride=stride))
+    t_end, stride = (getattr(cfg, key) if key in explicit else None for key in ("tmax", "sample_stride"))
+    traj, s = run_transfer(protocol, grid=default_grid(protocol, cfg.dt, t_end, stride))
     recs = compute_records(traj)
     rows = np.column_stack([*(recs[name] for name in CHARGE_HEADER), traj.aux])
     return CHARGE_HEADER + ("leakage",), rows, asdict(s)

@@ -60,16 +60,12 @@ class TimeGrid:
     sample_stride: int = 1
 
     def __post_init__(self):
-        if not math.isfinite(self.t_end):
-            raise ValueError("time window must be finite")
-        if not self.t_end > 0.0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        if not 0.0 < self.t_end < math.inf:
+            raise ValueError(f"t_end must be finite and positive, got {self.t_end}")
         if not 0.0 < self.dt < math.inf:
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
-        if not isinstance(self.sample_stride, numbers.Integral):
-            raise ValueError(f"sample_stride must be an integer, got {self.sample_stride!r}")
-        if self.sample_stride < 1:
-            raise ValueError(f"sample_stride must be >= 1, got {self.sample_stride}")
+        if not (isinstance(self.sample_stride, numbers.Integral) and self.sample_stride >= 1):
+            raise ValueError(f"sample_stride must be an integer >= 1, got {self.sample_stride!r}")
         steps = self.t_end / self.dt
         if steps > MAX_STEPS:
             raise ValueError(

@@ -356,4 +356,13 @@ def test_too_fast_protocol_degrades():
 
 def test_default_grid_spans_three_tau():
     g = default_grid(PROTO)
-    assert g.t_end == 3 * TAU
+    assert (g.t_end, g.sample_stride) == (3 * TAU, 10)  # 6,000 steps of 0.005, ~600 snapshots
+    # an explicit window and stride are both kept
+    g = default_grid(PROTO, dt=0.02, t_end=7.0, sample_stride=3)
+    assert (g.t_end, g.dt, g.sample_stride) == (7.0, 0.02, 3)
+    # 3 tau overflows: the refusal names the ratio that tau comes from
+    with pytest.raises(ValueError, match="tau = tau_scaled / gamma_max = 1e\\+308"):
+        default_grid(replace(PROTO, tau=1e308))
+    # a subnormal tau is the step: its budget refuses it before any stride is derived
+    with pytest.raises(ValueError, match="dt = 4.94066e-324 needs inf steps over \\[0, 1\\]"):
+        default_grid(replace(PROTO, tau=5e-324), t_end=1.0)

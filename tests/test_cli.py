@@ -516,8 +516,9 @@ def test_sweep_cells_bit_identical_in_any_shard(workers):
                     tmax=6.0, dt=0.04, sample_stride=5, workers=workers)
     res = run_sweep(cfg)
     assert len(res.cells) == 4
+    grid = integrator.TimeGrid(cfg.tmax, dt=cfg.dt, sample_stride=5)
     for th, cell in zip(res.thetas, res.cells):
-        alone = _sweep_cell(cfg, [float(th)], 5)[0]
+        alone = _sweep_cell(cfg, [float(th)], grid)[0]
         assert alone.shape == cell.shape
         assert (alone.view(np.uint64) == cell.view(np.uint64)).all()
 
@@ -553,7 +554,7 @@ def test_dense_reruns_batched_bitwise():
     best = {name: summary[f"argmax_{name}_theta"] for name in SWEEP_METRICS}
     assert len(set(best.values())) >= 2
     for name in SWEEP_METRICS:
-        cell = _sweep_cell(cfg, [best[name]], 1)[0]
+        cell = _sweep_cell(cfg, [best[name]], integrator.TimeGrid(cfg.tmax, dt=cfg.dt))[0]
         t, f = _parabolic_peak(cell.t, cell[name], int(np.argmax(cell[name])))
         assert summary[f"max_{name}"].hex() == f.hex()
         assert summary[f"argmax_{name}_t"].hex() == t.hex()
