@@ -28,7 +28,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .geometry import CouplingParams, check_theta
-from .integrator import DEFAULT_DT, ChargingTrajectory, TimeGrid, evolve
+from .integrator import DEFAULT_DT, MAX_STEPS, ChargingTrajectory, TimeGrid, evolve
 from .liouville import (
     CASCADED_LEFT,
     CASCADED_RIGHT,
@@ -136,31 +136,27 @@ class TransferSummary:
     efficiency: float
 
 
-def transfer_step(p: ChiralProtocol, grid: TimeGrid) -> float:
-    """The step :func:`run_transfer` takes on ``grid``, at most ``grid.dt * (1 + 1e-9)``.
-
-    It is edge / ceil(edge / dt - 1e-9), with ``edge`` = tau if tau lies inside the
-    window [0, t_end] and t_end otherwise; the slack keeps 100 / 0.02 at 5,000 steps.
-    """
-    edge = min(p.tau, grid.t_end)
-    # evolve's own slack, floor(t_end / dt + 1e-9), so a whole count stays whole
-    n = max(1, math.ceil(edge / grid.dt - 1e-9))
-    return edge / n
-
-
 def default_grid(p: ChiralProtocol, dt: float = DEFAULT_DT, t_end: Optional[float] = None,
                  sample_stride: Optional[int] = None) -> TimeGrid:
-    """The grid a run of ``p`` takes: the one home of a chiral run's window and stride.
+    """The grid a run of ``p`` steps: the one home of its window, step, budget and stride.
 
-    In this order: the window [0, t_end], by default [0, 3 tau]; the step of
-    :func:`transfer_step`; :class:`TimeGrid`'s step budget at that step; and
-    only then the stride, by default about 600 snapshots at that step.
+    In this order: the window [0, t_end], by default [0, 3 tau]; :class:`TimeGrid`'s
+    checks at ``dt``; the step edge / ceil(edge / dt - 1e-9), with ``edge`` = tau if
+    tau lies inside the window and t_end otherwise, at most ``dt * (1 + 1e-9)``; the
+    budget at that step; and only then the stride, by default ~600 snapshots.
     """
     if t_end is None and not math.isfinite(3.0 * p.tau):
         raise ValueError(f"the window [0, 3 tau] is not finite at tau = tau_scaled / gamma_max = {p.tau:g}")
     grid = TimeGrid(3.0 * p.tau if t_end is None else t_end, dt=dt)
-    step = transfer_step(p, grid)
-    replace(grid, dt=step)  # the budget of the step the run takes
+    edge = min(p.tau, grid.t_end)
+    # evolve's own slack, floor(t_end / dt + 1e-9), so a whole count stays whole
+    step = edge / max(1, math.ceil(edge / dt - 1e-9))
+    try:
+        grid = replace(grid, dt=step)
+    except ValueError as err:  # the budget at the step: the value it refuses is tau's, not dt's
+        raise ValueError(f"the step {step:g} that lands on tau = tau_scaled / gamma_max = {p.tau:g} "
+                         f"needs {grid.t_end / step:.4g} steps over [0, {grid.t_end:g}]; "
+                         f"at most {MAX_STEPS} are allowed") from err
     stride = max(1, round(grid.t_end / step / 600)) if sample_stride is None else sample_stride
     return replace(grid, sample_stride=stride)
 
@@ -168,7 +164,9 @@ def default_grid(p: ChiralProtocol, dt: float = DEFAULT_DT, t_end: Optional[floa
 def run_transfer(
     p: ChiralProtocol,
     rho0: Optional[np.ndarray] = None,
-    grid: Optional[TimeGrid] = None,
+    dt: float = DEFAULT_DT,
+    t_end: Optional[float] = None,
+    sample_stride: Optional[int] = None,
 ) -> Tuple[ChargingTrajectory, TransferSummary]:
     """Evolve the cascaded master equation and track the leaked excitation.
 
@@ -176,15 +174,13 @@ def run_transfer(
     integral of Tr[L rho L^dag] dt, which :func:`evolve` integrates with
     the state into ``traj.aux``.  The default initial state puts the
     excitation on the sending atom for the chosen direction.  The run is
-    one :func:`evolve` call at :func:`transfer_step`, which lands the rate
-    profiles' slope kink at t = tau on a step boundary; the rest of the
-    window keeps that step, plus :class:`TimeGrid`'s short last one.
+    one :func:`evolve` call on the grid of :func:`default_grid`, whose step
+    lands the rate profiles' slope kink at t = tau on a step boundary; the
+    rest of the window keeps that step, plus :class:`TimeGrid`'s short last one.
     """
     if rho0 is None:
         rho0 = projector("eg" if p.direction == RIGHT_TO_BATTERY else "ge")
-    if grid is None:
-        grid = default_grid(p)
-    traj = evolve(chiral_spec(p), rho0, replace(grid, dt=transfer_step(p, grid)))
+    traj = evolve(chiral_spec(p), rho0, default_grid(p, dt, t_end, sample_stride))
     last = compute_records(traj)[-1]
     summary = TransferSummary(
         final_battery_energy=float(last.p_b),

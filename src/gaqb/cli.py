@@ -26,7 +26,7 @@ from typing import Optional, get_type_hints
 
 import numpy as np
 
-from .chiral import LEFT_TO_CHARGER, RIGHT_TO_BATTERY, ChiralProtocol, default_grid, run_transfer
+from .chiral import LEFT_TO_CHARGER, RIGHT_TO_BATTERY, ChiralProtocol, run_transfer
 from .geometry import BUILTIN_TOPOLOGIES, check_theta, closed_form_params
 from .integrator import DEFAULT_DT, MAX_STEPS, TimeGrid, evolve
 from .liouville import LiouvillianSpec, SimulationError, projector
@@ -310,13 +310,13 @@ def run_sweep(cfg: RunConfig) -> SweepResult:
 def run_chiral(cfg: RunConfig, explicit=()):
     """Pitch-catch run; ``explicit`` names the keys set by flag or config file.
 
-    :func:`default_grid` builds the grid at ``dt``; ``tmax`` and ``sample_stride``
-    replace its 3 tau window and ~600-snapshot stride only where explicit.
+    :func:`run_transfer` steps the grid that ``default_grid`` builds from ``dt``; ``tmax``
+    and ``sample_stride`` replace its 3 tau window and ~600-snapshot stride only where explicit.
     """
     protocol = ChiralProtocol(gamma_max=cfg.gamma_max, tau=cfg.tau_scaled / cfg.gamma_max,
                               theta=cfg.theta, direction=cfg.direction)
     t_end, stride = (getattr(cfg, key) if key in explicit else None for key in ("tmax", "sample_stride"))
-    traj, s = run_transfer(protocol, grid=default_grid(protocol, cfg.dt, t_end, stride))
+    traj, s = run_transfer(protocol, dt=cfg.dt, t_end=t_end, sample_stride=stride)
     recs = compute_records(traj)
     rows = np.column_stack([*(recs[name] for name in CHARGE_HEADER), traj.aux])
     return CHARGE_HEADER + ("leakage",), rows, asdict(s)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaqb.chiral import ChiralProtocol, default_grid, run_transfer
+from gaqb.chiral import ChiralProtocol, run_transfer
 from gaqb.cli import RunConfig, run_sweep
 from gaqb.geometry import BRAIDED, NESTED, SEPARATED, CouplingParams, closed_form_params
 from gaqb.integrator import TimeGrid, evolve
@@ -63,7 +63,7 @@ def sweep():
 def chiral_forward():
     """Reference pitch-catch run at Gamma_max * tau = 10."""
     p = ChiralProtocol(gamma_max=0.1, tau=100.0)
-    traj, summary = run_transfer(p, grid=default_grid(p, dt=0.02))
+    traj, summary = run_transfer(p, dt=0.02)
     return p, traj, summary
 
 
@@ -234,6 +234,33 @@ def textbook_rhs(spec, t, rho):
         L = jump_operator(p, spec.dissipator_kind)
         jumps, loss = dissipator(L, rho), L.conj().T @ L
     return -1j * (H @ rho - rho @ H) + jumps, np.trace(loss @ rho).real
+
+
+def no_jump_amplitudes(p, t):
+    """psi(t) = exp(-i H_eff t) (1, 0) on (|eg>, |ge>) at the times ``t``, (T, 2).
+
+    From |eg> a bidirectional generator fills only the one-excitation block
+    and |gg>: rho(t) = (1 - |psi|^2) |gg><gg| + |psi><psi| (the no-jump
+    evolution of Dalibard, Castin and Molmer, PRL 68, 580 (1992)), with
+
+        H_eff = [[delta_a - i Gamma_a/2, g_ab - i Gamma_coll/2],
+                 [g_ab - i Gamma_coll/2, delta_b - i Gamma_b/2]]
+
+    from the coefficients ``p``.  The closed form is
+    exp(-i H t) = e^{-i tr t/2} (cos(W t) I - i sin(W t)/W (H - tr/2 I)),
+    W^2 = ((H_aa - H_bb)/2)^2 + H_ab^2; sin(W t)/W -> t at W = 0, so it
+    stays finite at exceptional points.
+    """
+    h_aa = p.delta_a - 0.5j * p.Gamma_a
+    h_bb = p.delta_b - 0.5j * p.Gamma_b
+    h_ab = p.g_ab - 0.5j * p.Gamma_coll
+    half_trace = 0.5 * (h_aa + h_bb)
+    w = np.sqrt(complex(0.25 * (h_aa - h_bb) ** 2 + h_ab ** 2))
+    sin_over_w = np.sin(w * t) / w if w != 0 else t
+    phase = np.exp(-1j * half_trace * t)
+    eg = phase * (np.cos(w * t) - 1j * sin_over_w * (h_aa - half_trace))
+    ge = phase * (-1j * sin_over_w * h_ab)
+    return np.stack([eg, ge], axis=-1)
 
 
 # |Delta n| of each real coordinate of rho (the populations, then Re and Im

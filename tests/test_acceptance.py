@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import charger_state, convergence_order, positional_params, spec_for, states_of
-from gaqb.chiral import LEFT_TO_CHARGER, default_grid, run_transfer
+from gaqb.chiral import LEFT_TO_CHARGER, run_transfer
 from gaqb.cli import _parabolic_peak, main
 from gaqb.geometry import (
     BRAIDED,
@@ -234,7 +234,7 @@ def test_c11_chiral_transfer(chiral_forward):
     recs = compute_records(traj)
     book = np.abs(recs.p_a + recs.p_b + traj.aux - 1.0).max()
     mixed_b = np.kron(np.diag([0.0, 1.0]).astype(complex), 0.5 * np.eye(2, dtype=complex))
-    traj2, _ = run_transfer(p, rho0=mixed_b, grid=default_grid(p, dt=0.02))
+    traj2, _ = run_transfer(p, rho0=mixed_b, dt=0.02)
     unidir = max(
         np.abs(charger_state(a) - charger_state(b)).max()
         for a, b in zip(states_of(traj), states_of(traj2))
@@ -253,7 +253,7 @@ def test_c11_chiral_transfer(chiral_forward):
 
 def test_c12_chiral_reversal(chiral_forward):
     p, fwd, _ = chiral_forward
-    rev, s_rev = run_transfer(replace(p, direction=LEFT_TO_CHARGER), grid=default_grid(p, dt=0.02))
+    rev, s_rev = run_transfer(replace(p, direction=LEFT_TO_CHARGER), dt=0.02)
     f, r = compute_records(fwd), compute_records(rev)
     dev = max(np.abs(r.p_a - f.p_b).max(), np.abs(r.p_b - f.p_a).max())
     ok = dev <= 1e-9 and s_rev.final_charger_energy >= 0.99

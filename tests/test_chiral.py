@@ -14,7 +14,6 @@ from gaqb.chiral import (
     pitch_catch_rates,
     rate_profile,
     run_transfer,
-    transfer_step,
 )
 from gaqb.geometry import CouplingParams
 from gaqb.integrator import TimeGrid, evolve
@@ -25,7 +24,8 @@ GMAX = 1.0
 TAU = 10.0
 PROTO = ChiralProtocol(gamma_max=GMAX, tau=TAU)
 REVERSED = replace(PROTO, direction=LEFT_TO_CHARGER)
-FAST_GRID = TimeGrid(3 * TAU, dt=0.01, sample_stride=50)
+FAST = dict(dt=0.01, t_end=3 * TAU, sample_stride=50)  # run_transfer's grid arguments
+FAST_GRID = TimeGrid(**FAST)
 
 
 # --- rate profiles -----------------------------------------------------------
@@ -149,7 +149,7 @@ def test_protocol_rejects_non_finite(field, value):
 # --- transfer dynamics ----------------------------------------------------------
 
 def test_transfer_is_nearly_lossless():
-    traj, s = run_transfer(PROTO, grid=FAST_GRID)
+    traj, s = run_transfer(PROTO, **FAST)
     assert s.final_battery_energy >= 0.99
     assert s.leakage <= 0.01
     assert s.efficiency == pytest.approx(s.final_battery_energy)
@@ -160,7 +160,7 @@ def test_transfer_is_nearly_lossless():
 def test_transfer_summary_matches_recorded_values():
     # recorded from the per-stage 4x4 integrator with a co-integrated leak
     # callback, which the Liouville-space march replaced
-    _, s = run_transfer(PROTO, grid=FAST_GRID)
+    _, s = run_transfer(PROTO, **FAST)
     recorded = {
         "final_battery_energy": "0x1.fffd06486b1e2p-1",
         "final_charger_energy": "0x1.1b4a0ad74fab5p-30",
@@ -174,7 +174,7 @@ def test_transfer_summary_matches_recorded_values():
 def test_reversed_transfer_summary_matches_recorded_values():
     # the left-moving run, recorded from the complex Liouville-space march
     # that stepped with I + D and re-Hermitized after every step
-    _, s = run_transfer(REVERSED, grid=FAST_GRID)
+    _, s = run_transfer(REVERSED, **FAST)
     recorded = {
         "final_battery_energy": "0x1.1b4a0ad74faa1p-30",
         "final_charger_energy": "0x1.fffd06486b1bfp-1",
@@ -237,10 +237,10 @@ def test_transfer_matches_cascade_oracle(gamma_tau, theta, direction):
     # an accuracy check that does not depend on rounding order: the battery's
     # population in a real transfer, off theta = pi/2 with Lamb shifts too
     p = ChiralProtocol(gamma_max=0.1, tau=gamma_tau / 0.1, theta=theta, direction=direction)
-    grid = default_grid(p, dt=0.02)
-    oracle = cascade_oracle(p, grid.t_end, 16)
-    assert max(abs(a - b) for a, b in zip(cascade_oracle(p, grid.t_end, 8), oracle)) <= 1e-14
-    _, s = run_transfer(p, grid=grid)
+    t_end = default_grid(p, dt=0.02).t_end
+    oracle = cascade_oracle(p, t_end, 16)
+    assert max(abs(a - b) for a, b in zip(cascade_oracle(p, t_end, 8), oracle)) <= 1e-14
+    _, s = run_transfer(p, dt=0.02)
     run = (s.final_charger_energy, s.final_battery_energy, s.leakage)
     if direction == LEFT_TO_CHARGER:
         run = (run[1], run[0], run[2])
@@ -248,7 +248,7 @@ def test_transfer_matches_cascade_oracle(gamma_tau, theta, direction):
 
 
 def test_transfer_energy_stays_put_after_catch():
-    traj, _ = run_transfer(PROTO, grid=FAST_GRID)
+    traj, _ = run_transfer(PROTO, **FAST)
     late = compute_records(traj).p_b[traj.times >= 2 * TAU]
     assert np.all(np.diff(late) >= -1e-9)  # no re-emission once caught
 
@@ -279,8 +279,8 @@ def test_catch_disabled_loses_everything():
 def test_unidirectionality_pins_coherent_sign():
     # the charger's reduced trajectory must not depend on the battery state
     mixed_b = np.kron(np.diag([0.0, 1.0]).astype(complex), 0.5 * np.eye(2, dtype=complex))
-    t1, _ = run_transfer(PROTO, rho0=projector("eg"), grid=FAST_GRID)
-    t2, _ = run_transfer(PROTO, rho0=mixed_b, grid=FAST_GRID)
+    t1, _ = run_transfer(PROTO, rho0=projector("eg"), **FAST)
+    t2, _ = run_transfer(PROTO, rho0=mixed_b, **FAST)
     dev = max(
         np.abs(charger_state(a) - charger_state(b)).max()
         for a, b in zip(states_of(t1), states_of(t2))
@@ -309,8 +309,8 @@ def test_wrong_cascade_direction_breaks_unidirectionality():
 
 
 def test_reversal_mirrors_population_curves():
-    fwd, s_fwd = run_transfer(PROTO, grid=FAST_GRID)
-    rev, s_rev = run_transfer(REVERSED, grid=FAST_GRID)
+    fwd, s_fwd = run_transfer(PROTO, **FAST)
+    rev, s_rev = run_transfer(REVERSED, **FAST)
     f, r = compute_records(fwd), compute_records(rev)
     assert np.abs(r.p_a - f.p_b).max() <= 1e-9
     assert np.abs(r.p_b - f.p_a).max() <= 1e-9
@@ -326,7 +326,7 @@ def test_kink_at_tau_lands_on_a_step():
     p = ChiralProtocol(gamma_max=1.0, tau=10.0)
 
     def run(dt):
-        return run_transfer(p, grid=TimeGrid(30.0, dt=dt, sample_stride=stride))[0]
+        return run_transfer(p, dt=dt, t_end=30.0, sample_stride=stride)[0]
 
     assert richardson_order(lambda dt: states_of(run(dt))[-1], 0.0937) >= 3.7
     step = 10.0 / math.ceil(10.0 / 0.0937)
@@ -340,15 +340,15 @@ def test_transfer_step_exceeds_dt_by_at_most_the_slack():
     # run over dt by up to that factor, as at tau = 10.000000001, dt = 1
     for tau in (1e-3, 2.0, 10.0, 10.000000001, 100.0):
         for dt in (0.005, 0.02, 0.03, 0.0937, 1.0):
-            step = transfer_step(replace(PROTO, tau=tau), TimeGrid(3.0 * tau, dt=dt))
+            step = default_grid(replace(PROTO, tau=tau), dt=dt, t_end=3.0 * tau).dt
             assert step <= dt * (1 + 1e-9), (tau, dt)
-    assert transfer_step(replace(PROTO, tau=100.0), TimeGrid(300.0, dt=0.02)) == 100.0 / 5000
-    assert transfer_step(replace(PROTO, tau=10.000000001), TimeGrid(30.0, dt=1.0)) == 1.0000000001
+    assert default_grid(replace(PROTO, tau=100.0), dt=0.02, t_end=300.0).dt == 100.0 / 5000
+    assert default_grid(replace(PROTO, tau=10.000000001), dt=1.0, t_end=30.0).dt == 1.0000000001
 
 
 def test_too_fast_protocol_degrades():
     fast = ChiralProtocol(gamma_max=GMAX, tau=0.1)  # Gamma_max * tau = 0.1
-    _, s = run_transfer(fast, grid=TimeGrid(60.0, dt=0.01, sample_stride=100))
+    _, s = run_transfer(fast, dt=0.01, t_end=60.0, sample_stride=100)
     assert s.final_battery_energy < 0.9
     assert s.leakage > 0.1
     assert s.final_battery_energy + s.final_charger_energy + s.leakage == pytest.approx(1.0, abs=1e-6)
@@ -360,9 +360,14 @@ def test_default_grid_spans_three_tau():
     # an explicit window and stride are both kept
     g = default_grid(PROTO, dt=0.02, t_end=7.0, sample_stride=3)
     assert (g.t_end, g.dt, g.sample_stride) == (7.0, 0.02, 3)
+    # the grid's step is the one the run takes: tau / dt = 106.7 steps at 10 / 107
+    assert default_grid(PROTO, dt=0.0937).dt == 10 / 107
     # 3 tau overflows: the refusal names the ratio that tau comes from
     with pytest.raises(ValueError, match="tau = tau_scaled / gamma_max = 1e\\+308"):
         default_grid(replace(PROTO, tau=1e308))
-    # a subnormal tau is the step: its budget refuses it before any stride is derived
-    with pytest.raises(ValueError, match="dt = 4.94066e-324 needs inf steps over \\[0, 1\\]"):
+    # a subnormal tau is the step: its budget refuses it before any stride is
+    # derived, naming tau and the step, not the dt it came from
+    with pytest.raises(ValueError, match="^the step 4.94066e-324 that lands on tau = tau_scaled / gamma_max "
+                                         "= 4.94066e-324 needs inf steps over \\[0, 1\\]; at most 10000000 "
+                                         "are allowed$"):
         default_grid(replace(PROTO, tau=5e-324), t_end=1.0)

@@ -437,10 +437,13 @@ def test_exit_code_usage_errors(capsys):
         assert main(["chiral", "--tau-scaled", tau_scaled, "--gamma-max", gamma_max]) == 1
         assert "tau_scaled / gamma_max" in capsys.readouterr().err
     # a tau shorter than dt shrinks chiral's step to tau, which puts this
-    # window over the budget before any step is taken
+    # window over the budget before any step is taken; the refusal names
+    # tau and the step, not the dt the user gave
     assert main(["chiral", "--gamma-max", "1", "--tau-scaled", "1e-6", "--dt", "0.01",
                  "--tmax", "50"]) == 1
-    assert "gaqb: error: dt = 1e-06 needs 5e+07 steps" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "gaqb: error: the step 1e-06 that lands on tau = tau_scaled / gamma_max = 1e-06 "
+        "needs 5e+07 steps over [0, 50]; at most 10000000 are allowed\n")
     # each command takes only the flags it reads, spelled out in full
     for args in (["charge", "--omega0", "2"], ["chiral", "--topology", "nested"],
                  ["chiral", "--gamma", "0.1"], ["params", "--tmax", "5"],
