@@ -42,16 +42,121 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # output formatting
 
-_CSV_BLOCK = 256  # CSV rows formatted by one % operation
+_CSV_BLOCK = 1024  # CSV rows formatted at a time
+# A value's text is picked from a 46-byte source row: its sign, "0.000", its 17
+# digits each followed by ".", "e", the exponent's sign and 3 digits, then ","
+# or "\n".  _csv_tables() builds the picks, one mask per layout, on first use.
+_SOURCE = np.frombuffer(b"-0.000" + b"0." * 17 + b"e+000,", dtype=np.uint8)
+_TABLES: Optional[tuple] = None
+
+
+def _csv_tables():
+    """The 4-digit ASCII table as uint32, each 4-digit group's trailing zeros
+    (4 for 0000), the (784, 46) layout masks, and 10^k as hi + lo for
+    k = -240..279, NaN until an exponent first needs it.
+
+    Layout 2 b + (sign bit) has base b: 0 is +-0; 1 + 17 (e + 4) + L - 1 is
+    fixed notation at exponent e in [-4, 16] with L significant digits; and
+    358 + 2 (L - 1) + (|e| >= 100) is exponent notation.
+    """
+    global _TABLES
+    if _TABLES is None:
+        v = np.arange(10000)  # divided by scalars, which numpy divides fast
+        q = np.stack([v // 1000, v // 100 % 10, v // 10 % 10, v % 10], axis=1)
+        quads = (q + 48).astype(np.uint8).view(np.uint32)[:, 0]
+        zeros = sum(v % 10 ** j == 0 for j in (1, 2, 3, 4))
+        b = np.arange(392)[:, None]
+        fixed, expo = (b >= 1) & (b < 358), b >= 358
+        e = np.where(fixed, (b - 1) // 17 - 4, 0)
+        sig = np.where(fixed, (b - 1) % 17 + 1, (b - 358) // 2 + 1)
+        pos = np.arange(46)
+        digit, i = (pos >= 6) & (pos < 40), (pos - 6) // 2
+        dot = np.where(fixed & (e >= 0) & (sig > e + 1), e, np.where(expo & (sig > 1), 0, -1))
+        masks = ((pos >= 1) & (pos <= np.where(b == 0, 1, np.where(fixed & (e < 0), 1 - e, 0)))
+                 | digit & (pos % 2 == 0) & (i < np.where(b == 0, 0, np.maximum(sig, e + 1)))
+                 | digit & (pos % 2 == 1) & (i == dot)
+                 | expo & ((pos == 40) | (pos == 41) | (pos >= 43 - (b - 358) % 2) & (pos < 45))
+                 | (pos == 45))
+        masks = np.repeat(masks, 2, axis=0)
+        masks[1::2, 0] = True  # the sign
+        _TABLES = quads, zeros, masks, np.full((2, 520), np.nan)
+    return _TABLES
+
+
+def _scaled(a, k, powers):
+    """floor(a 10^k) for a in (1e-250, 1e250), exactly, and its fraction.
+
+    10^k is hi + lo, and a hi is Dekker's exact product, so the sum is good
+    to about 1e-14 and only a fraction near 1/2 can round the wrong way.
+    """
+    hi, lo = powers[:, k + 240]
+    if np.isnan(hi).any():
+        for kk in set(k[np.isnan(hi)].tolist()):  # np.unique would import numpy.ma
+            num, den = (10 ** kk, 1) if kk >= 0 else (1, 10 ** -kk)
+            h = num / den  # int / int rounds correctly
+            m, n = h.as_integer_ratio()
+            powers[:, kk + 240] = h, (num * n - m * den) / (den * n)
+        hi, lo = powers[:, k + 240]
+    p = a * hi
+
+    def split(v):
+        c = v * 134217729.0
+        return c - (c - v), v - (c - (c - v))
+
+    (ah, al), (hh, hl) = split(a), split(hi)
+    q = (((ah * hh - p) + ah * hl + al * hh) + al * hl) + a * lo
+    whole = np.floor(q)
+    return p.astype(np.int64) + whole.astype(np.int64), q - whole
+
+
+def _format_block(block):
+    """Bytes of '%.17g' % x for each value, joined by ',' and '\n', or None
+    where a value is non-finite, out of (1e-250, 1e250) other than +-0, or
+    too near a rounding tie to round exactly."""
+    quads, zeros, masks, powers = _csv_tables()
+    x = block.ravel()
+    a, zero = np.abs(x), x == 0.0
+    if not ((a > 1e-250) & (a < 1e250) | zero).all():
+        return None
+    e = np.floor(np.log10(np.where(zero, 1.0, a))).astype(np.int64)
+    whole, frac = _scaled(a, 16 - e, powers)
+    low = ~zero & (whole < 10 ** 16)  # log10 rounded up to the next power of ten
+    if low.any():
+        e[low] -= 1
+        whole[low], frac[low] = _scaled(a[low], 16 - e[low], powers)
+    digits = whole + (frac > 0.5)
+    if not ((whole >= 10 ** 16) & (digits <= 10 ** 17) | zero).all() or (np.abs(frac - 0.5) < 1e-6).any():
+        return None
+    carry = digits == 10 ** 17
+    digits[carry], e[carry] = 10 ** 16, e[carry] + 1
+    head = digits // 10 ** 8
+    tail = digits - head * 10 ** 8
+    first = head // 10 ** 8
+    head -= first * 10 ** 8
+    groups = np.stack([head // 10 ** 4, head % 10 ** 4, tail // 10 ** 4, tail % 10 ** 4], axis=1)
+    src = np.tile(_SOURCE, (len(x), 1))
+    src[:, 6] += first.astype(np.uint8)
+    src[:, 8:40:2] = quads[groups].view(np.uint8)
+    src[:, 41:45] = quads[np.abs(e)].view(np.uint8).reshape(-1, 4)
+    src[:, 41] = np.where(e < 0, 45, 43)
+    src.reshape(*block.shape, 46)[:, -1, 45] = 10
+    trailing = zeros[groups]
+    sig = 17 - trailing[:, 3]
+    for j in (2, 1, 0):  # a group's zeros count where the groups after it are 0000
+        sig -= np.where(sig == 5 + 4 * j, trailing[:, j], 0)
+    base = np.where((e >= -4) & (e <= 16), 17 * e + 68 + sig, 356 + 2 * sig + (np.abs(e) >= 100))
+    pick = np.take(masks, 2 * np.where(zero, 0, base) + np.signbit(x), axis=0)
+    return np.compress(pick.ravel(), src.ravel()).tobytes().decode("ascii")
 
 
 def write_csv(stream, header, rows, summary: Optional[dict] = None):
     stream.write(",".join(header) + "\n")
     row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
     rows = np.asarray(rows, dtype=float)
-    for start in range(0, len(rows), _CSV_BLOCK):  # as Python floats, which format fastest
+    for start in range(0, len(rows), _CSV_BLOCK):
         block = rows[start:start + _CSV_BLOCK]
-        stream.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+        text = _format_block(block)  # None sends the block to %
+        stream.write(text if text is not None else (row_fmt * len(block)) % tuple(block.ravel().tolist()))
     for key, value in (summary or {}).items():
         stream.write(f"# {key} = {format(value, '.17g') if isinstance(value, float) else value}\n")
 

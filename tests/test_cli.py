@@ -226,8 +226,64 @@ def test_write_csv_matches_per_value_format():
         assert out.getvalue() == "a,b,c,d,e,f\n" + want + "# k = v\n"
     # rows are formatted a block at a time: two full blocks and a partial one
     out = io.StringIO()
-    write_csv(out, ("a", "b", "c", "d", "e", "f"), np.tile(table, (21, 1)))
-    assert out.getvalue() == "a,b,c,d,e,f\n" + want * 21
+    write_csv(out, ("a", "b", "c", "d", "e", "f"), np.tile(table, (82, 1)))
+    assert out.getvalue() == "a,b,c,d,e,f\n" + want * 82
+
+
+def percent_csv(rows):
+    """The CSV data lines of '%.17g' % x, joined by ',' and '\n'."""
+    rows = np.asarray(rows)
+    return (",".join(["%.17g"] * rows.shape[1]) + "\n") * len(rows) % tuple(rows.ravel().tolist())
+
+
+@pytest.fixture
+def numpy_blocks(monkeypatch):
+    """Whether write_csv's numpy formatter took each block, in order."""
+    taken, real = [], cli._format_block
+
+    def counted(block):
+        text = real(block)
+        taken.append(text is not None)
+        return text
+
+    monkeypatch.setattr(cli, "_format_block", counted)
+    return taken
+
+
+def write_rows(rows):
+    out = io.StringIO()
+    write_csv(out, [str(i) for i in range(rows.shape[1])], rows)
+    return out.getvalue().split("\n", 1)[1]
+
+
+def test_write_csv_matches_percent_on_two_million_doubles(numpy_blocks):
+    # each set sorted by magnitude, so that the values whose 18th digit can
+    # be an exact tie (magnitudes of about 1e9 to 1e16, and most halves),
+    # which the numpy formatter leaves to %, share a few blocks
+    rng = np.random.default_rng(11)
+    powers = np.array([float(f"1e{k}") for k in range(-249, 249)])
+    sets = [rng.integers(0, 2 ** 64, 1_000_000, dtype=np.uint64).view(np.float64),
+            rng.random(800_000) * 10.0 ** rng.integers(-30, 31, 800_000) * rng.choice([-1.0, 1.0], 800_000),
+            np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]),
+            (rng.integers(0, 2 ** 52, 200_000) + 0.5) * 2.0 ** rng.integers(-60, 60, 200_000),
+            np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, np.finfo(float).max, 2.0 ** 53, 1e16, 1e17])]
+    values = np.concatenate([v[np.argsort(np.abs(v))] for v in sets])
+    assert len(values) >= 2_000_000
+    rows = np.resize(values, (-(-len(values) // 8), 8))
+    assert write_rows(rows) == percent_csv(rows)
+    assert sum(numpy_blocks) >= 0.8 * len(numpy_blocks)
+
+
+def test_write_csv_block_edges_and_fallback(numpy_blocks):
+    values = np.random.default_rng(12).random((2050, 8)) * 100.0
+    for n in (1, 1023, 1024, 1025):
+        assert write_rows(values[:n]) == percent_csv(values[:n])
+    assert numpy_blocks == [True, True, True, True, True]
+    # a block with one value the formatter leaves to % is formatted by %, whole
+    numpy_blocks.clear()
+    values[1500, 3] = np.nan
+    assert write_rows(values) == percent_csv(values)
+    assert numpy_blocks == [True, False, True]
 
 
 def test_charge_command_columns_and_determinism(tmp_path):
@@ -566,23 +622,27 @@ def test_dense_reruns_batched_bitwise():
 # recorded on the 7-coordinate block march (max_E was one ulp higher,
 # ...672p-2, on the complex (N,4,4) stack before it); the E and sigma
 # maxima of the mirror cells 8 and 42 differ by one ulp, so a change of
-# rounding in the march can move their argmax_*_theta to the mirror phase
+# rounding in the march can move their argmax_*_theta to the mirror phase.
+# The dense reruns jump up to 64 steps per product: max_E, max_sigma,
+# argmax_sigma_t, max_energy_power and argmax_energy_power_t moved by at
+# most 4.62e-14 from their per-step values (...671p-2, ...987p-2,
+# ...0c4p+2, ...b8cp-5 and ...709p+2)
 NESTED_SHORT_SUMMARY = {
-    "max_E": "0x1.50de8fd6d1671p-2",
+    "max_E": "0x1.50de8fd6d166bp-2",
     "argmax_E_theta": "0x1.015bf9217271ap+0",
     "argmax_E_t": "0x1.c0a557388adefp+2",
     "max_ergotropy": "0x0.0p+0",
     "argmax_ergotropy_theta": "0x0.0p+0",
     "argmax_ergotropy_t": "0x0.0p+0",
-    "max_sigma": "0x1.e11ddf3827987p-2",
+    "max_sigma": "0x1.e11ddf3827984p-2",
     "argmax_sigma_theta": "0x1.015bf9217271ap+0",
-    "argmax_sigma_t": "0x1.c0a558f0590c4p+2",
+    "argmax_sigma_t": "0x1.c0a558f059090p+2",
     "max_power": "0x0.0p+0",
     "argmax_power_theta": "0x0.0p+0",
     "argmax_power_t": "0x0.0p+0",
-    "max_energy_power": "0x1.d9c3d1f5beb8cp-5",
+    "max_energy_power": "0x1.d9c3d1f5beb87p-5",
     "argmax_energy_power_theta": "0x1.015bf9217271ap+0",
-    "argmax_energy_power_t": "0x1.14b87a1cf5709p+2",
+    "argmax_energy_power_t": "0x1.14b87a1cf5725p+2",
     "max_E_end": "0x1.ffa8134294b7ep-3",
     "argmax_E_end_theta": "0x0.0p+0",
 }

@@ -244,7 +244,21 @@ def test_bidirectional_cells_match_exact_no_jump_evolution():
     thetas = [*np.linspace(0.0, 2.0 * math.pi, 51), math.pi / 2, math.pi]
     cells = [closed_form_params(topo, theta, 0.1)
              for topo in (BRAIDED, SEPARATED, NESTED) for theta in thetas]
-    traj = evolve([LiouvillianSpec(p) for p in cells], EG, TimeGrid(100.0, dt=0.005, sample_stride=50))
+    assert_matches_no_jump_evolution(cells, TimeGrid(100.0, dt=0.005, sample_stride=50))
+
+
+def test_stride_one_cells_match_exact_no_jump_evolution():
+    # the jumps of a stride-1 run against exact dynamics at every step: the
+    # three layouts at two phases, 20,000 steps each
+    cells = [closed_form_params(topo, theta, 0.1)
+             for topo in (BRAIDED, SEPARATED, NESTED) for theta in (1.1, math.pi / 2)]
+    assert_matches_no_jump_evolution(cells, TimeGrid(100.0, dt=0.005, sample_stride=1))
+
+
+def assert_matches_no_jump_evolution(cells, grid):
+    """p_a, p_b, the emitted energy and the eg-ge coherence of the cells'
+    batch from |eg> within 1e-12 of :func:`no_jump_amplitudes`."""
+    traj = evolve([LiouvillianSpec(p) for p in cells], EG, grid)
     recs = compute_records(traj)
     coherence = traj.coordinates[..., 10] + 1j * traj.coordinates[..., 11]
     psi = np.stack([no_jump_amplitudes(p, traj.times) for p in cells])
@@ -461,16 +475,16 @@ def chunked_march(spec, rho0, grid):
 
 
 def test_single_march_matches_chunked_maps_bitwise():
-    # a time-independent spec steps with one map per step size and must get
-    # the bits of building each step's own map.  Every grid but the first
-    # ends on a short step (501 x 0.02 + 0.01, 42 x 0.07 + 0.06, 500 x 0.01
-    # + 0.003, 50 x 0.02 + 0.003); the chiral spec is time-dependent.  A
-    # stride of 300 leaves a block of 256 steps with no snapshot, and a
-    # window of 51 steps is shorter than one block
+    # a strided time-independent spec steps with one map per step size and
+    # must get the bits of building each step's own map (a stride-1 run
+    # jumps; the stride-1 tests below hold it).  Every grid ends on a short
+    # step (501 x 0.02 + 0.01, 42 x 0.07 + 0.06, 500 x 0.01 + 0.003,
+    # 50 x 0.02 + 0.003); the chiral spec is time-dependent.  A stride of
+    # 300 leaves a block of 256 steps with no snapshot, and a window of 51
+    # steps is shorter than one block
     full_rank = random_density(np.random.default_rng(5))
     chiral = chiral_spec(ChiralProtocol(gamma_max=1.0, tau=2.0, theta=1.2))
-    cases = [(spec_for(BRAIDED, math.pi / 2), EG, TimeGrid(20.0, dt=0.005, sample_stride=1)),
-             (spec_for(NESTED, 1.1), EG, TimeGrid(10.03, dt=0.02, sample_stride=7)),
+    cases = [(spec_for(NESTED, 1.1), EG, TimeGrid(10.03, dt=0.02, sample_stride=7)),
              (spec_for(NESTED, 1.1), EG, TimeGrid(10.03, dt=0.02, sample_stride=100)),
              (spec_for(NESTED, 1.1), EG, TimeGrid(10.03, dt=0.02, sample_stride=300)),
              *((spec, full_rank, MIXED_GRID) for spec in MIXED_SPECS),
@@ -547,6 +561,47 @@ def test_renormalizing_march_matches_per_step_loop_bitwise(monkeypatch, specs, r
                 assert np.asarray(traj.renormalizations)[cell] == len(steps)
 
 
+def test_stride_one_batch_matches_cells_alone_bitwise(monkeypatch):
+    # in the per-step loop the negative-rate cell first drifts past 1e-12
+    # at step 242, inside the jump from step 192; the window ends on a short
+    # step (500 x 0.2 + 0.1).  Only a drifting cell is stepped again, so its
+    # neighbours keep their jumps and every cell has the same bits alone
+    monkeypatch.setattr(integrator, "_check_snapshots", lambda times, x, m: np.zeros(len(x)))
+    specs = [spec_for(BRAIDED, 0.4), NEGATIVE_RATE, spec_for(NESTED, 1.1)]
+    rho0 = random_density(np.random.default_rng(5))
+    grid = TimeGrid(100.1, dt=0.2, sample_stride=1)
+    assert chunked_march_coordinates(NEGATIVE_RATE, rho0, grid)[2][0] == 242
+    batch = evolve(specs, rho0, grid)
+    assert batch.step_count == 501 and batch.renormalizations[[0, 2]].tolist() == [0, 0]
+    assert batch.renormalizations[1] > 0
+    for i, spec in enumerate(specs):
+        alone = evolve(spec, rho0, grid)
+        assert (bits(alone.coordinates) == bits(batch.coordinates[i])).all()
+        assert bits(alone.max_trace_drift) == bits(batch.max_trace_drift[i])
+        assert alone.renormalizations == batch.renormalizations[i]
+
+
+def test_stride_one_matches_strided_runs():
+    # jumps round differently from v + D v steps, but a stride-1 run and a
+    # stride-5 run agree at their common times, from |eg> and from a full
+    # rank state, with a short last step; braided pi/2 over 4,000 steps also
+    # agrees with each step's own map
+    specs = [spec_for(BRAIDED, math.pi / 2), spec_for(NESTED, 1.1), spec_for(SEPARATED, 1.3)]
+    for rho0 in (EG, random_density(np.random.default_rng(5))):
+        dense = evolve(specs, rho0, TimeGrid(20.003, dt=0.005, sample_stride=1))
+        strided = evolve(specs, rho0, TimeGrid(20.003, dt=0.005, sample_stride=5))
+        assert dense.step_count == strided.step_count == 4001
+        assert (dense.times[[*range(0, 4001, 5), 4001]] == strided.times).all()
+        common = dense.coordinates[:, [*range(0, 4001, 5), 4001]]
+        assert np.abs(common - strided.coordinates).max() <= 1e-13
+    grid = TimeGrid(20.0, dt=0.005, sample_stride=1)
+    traj = evolve(spec_for(BRAIDED, math.pi / 2), EG, grid)
+    states, flux, _ = chunked_march(spec_for(BRAIDED, math.pi / 2), EG, grid)
+    assert traj.step_count == 4000
+    assert np.abs(states_of(traj) - states).max() <= 1e-13
+    assert np.abs(traj.aux - flux).max() <= 1e-13
+
+
 def long_double_rk4(specs, h, n_steps, stride):
     """p_a and p_b after every stride-th step of RK4 from |eg>, in long double.
 
@@ -586,18 +641,20 @@ def long_double_rk4(specs, h, n_steps, stride):
                     reason="np.longdouble is no wider than double here; the oracle needs eps < 1e-18")
 def test_single_runs_match_long_double_rk4():
     # the rounding of the float64 march against the same RK4 recursion in
-    # long double, on and off the decoherence-free points
+    # long double, on and off the decoherence-free points, at a stride of 50
+    # (v + D v) and of 1 (jumps of up to JUMP steps)
     cells = [(BRAIDED, math.pi / 2), (BRAIDED, 0.4), (SEPARATED, math.pi), (SEPARATED, 1.3),
              (NESTED, 1.1), (NESTED, 2.2)]
     specs = [spec_for(topo, theta) for topo, theta in cells]
-    grid = TimeGrid(100.0, dt=0.005, sample_stride=50)
-    oracle = long_double_rk4(specs, np.longdouble(grid.dt), 20000, 50)
-    for spec, want in zip(specs, oracle):
-        traj = evolve(spec, EG, grid)
-        assert traj.step_count == 20000 and len(traj.times) == 401
-        recs = compute_records(traj)
-        got = np.stack([recs.p_a, recs.p_b], axis=-1)
-        assert np.abs(got - want).max() <= 3e-14
+    oracle = long_double_rk4(specs, np.longdouble(0.005), 20000, 1)
+    for stride in (50, 1):
+        grid = TimeGrid(100.0, dt=0.005, sample_stride=stride)
+        for spec, want in zip(specs, oracle[:, ::stride]):
+            traj = evolve(spec, EG, grid)
+            assert traj.step_count == 20000 and len(traj.times) == 20000 // stride + 1
+            recs = compute_records(traj)
+            got = np.stack([recs.p_a, recs.p_b], axis=-1)
+            assert np.abs(got - want).max() <= 3e-14
 
 
 def test_grid_validation():
